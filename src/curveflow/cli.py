@@ -28,7 +28,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import pathlib
 import sys
 import time
@@ -45,6 +44,7 @@ from . import __version__
 from .curves import Curve, builtin_curve, check_conditions
 from .dyadic import make_bump
 from .errors import CoverageError, GeometryError, HypothesisError
+from .fixtures import fixtures_path, load_fixtures
 from .gridfn import (
     GridFunction1D,
     GridFunction2D,
@@ -133,19 +133,14 @@ def _merged(args, defaults: dict) -> dict:
 
 
 def _fixtures_path(cfg: dict) -> pathlib.Path:
-    env = os.environ.get("CURVEFLOW_FIXTURES")
-    if env:
-        return pathlib.Path(env)
-    if cfg.get("fixtures"):
-        return pathlib.Path(cfg["fixtures"])
-    return _DATA_DIR / "thresholds.json"
+    return fixtures_path(cfg.get("fixtures"))
 
 
 def _load_fixtures(cfg: dict) -> dict:
     path = _fixtures_path(cfg)
     if not path.is_file():
         raise ConfigError(f"thresholds fixture not found: {path}")
-    return json.loads(path.read_text())
+    return load_fixtures(cfg.get("fixtures"))
 
 
 def _resolve_gate(value, cfg: dict):

@@ -11,10 +11,12 @@ File formats:
     line per sample, row-major for 2D.
   * Binary: little-endian, magic `CFGF`, version byte, dims byte, the same
     header fields as float64/uint64, then the interleaved re,im payload.
+    A file cut short, or with bytes past the promised payload, is refused.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -291,22 +293,39 @@ def _write_binary(path, f) -> None:
         fh.write(inter.tobytes())
 
 
+def _unpack(fh, fmt: str, path):
+    size = struct.calcsize(fmt)
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: header cut short ({len(data)} of {size} bytes)")
+    return struct.unpack(fmt, data)
+
+
+def _read_payload(fh, count: int, path) -> np.ndarray:
+    """count complex samples; a payload of any other length is refused."""
+    want = 16 * count
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have != want:
+        raise ValueError(
+            f"{path}: header promises {count} samples ({want} bytes), payload has {have} bytes"
+        )
+    raw = np.frombuffer(fh.read(want), dtype="<f8")
+    return raw[0::2] + 1j * raw[1::2]
+
+
 def _read_binary(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a grid-function binary file")
-        version, dims = struct.unpack("<BB", fh.read(2))
+        version, dims = _unpack(fh, "<BB", path)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         if dims == 1:
-            origin, step, n = struct.unpack("<ddQ", fh.read(24))
-            raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-            values = raw[0::2] + 1j * raw[1::2]
-            return GridFunction1D(origin, step, values)
+            origin, step, n = _unpack(fh, "<ddQ", path)
+            return GridFunction1D(origin, step, _read_payload(fh, n, path))
         if dims == 2:
-            x1o, h1, n1, x2o, h2, n2 = struct.unpack("<ddQddQ", fh.read(48))
-            raw = np.frombuffer(fh.read(16 * n1 * n2), dtype="<f8")
-            values = (raw[0::2] + 1j * raw[1::2]).reshape(n1, n2)
+            x1o, h1, n1, x2o, h2, n2 = _unpack(fh, "<ddQddQ", path)
+            values = _read_payload(fh, n1 * n2, path).reshape(n1, n2)
             return GridFunction2D(x1o, h1, x2o, h2, values)
         raise ValueError(f"{path}: unsupported dimension byte {dims}")

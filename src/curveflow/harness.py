@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 from scipy.special import zeta
 
 from . import __version__
@@ -40,6 +39,8 @@ from .gridfn import GridFunction1D, GridFunction2D, ModulationField
 from .operators import (
     PVConfig,
     _group_by_value,
+    _prefix_sums,
+    _shifted_maximal_rows,
     annulus_piece_apply,
     hilbert_variable_apply,
     shifted_maximal,
@@ -724,65 +725,6 @@ def covering_geometry(
 # domination by shifted maximal averages
 
 
-def _row_prefix(a2: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [np.zeros((a2.shape[0], 1)), np.cumsum(a2, axis=1)], axis=1
-    )
-
-
-def _row_window_means(
-    a2: np.ndarray, m: int, d: int, prefix: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Row-wise twin of the 1D shifted-window means, along axis 1."""
-    n = a2.shape[1]
-    if prefix is None:
-        prefix = _row_prefix(a2)
-
-    def seg(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        lo = np.clip(lo, 0, n)
-        hi = np.clip(hi, 0, n)
-        return prefix[:, hi] - prefix[:, lo]
-
-    starts = np.arange(-(m - 1), n)
-    if d == 0:
-        total = seg(starts, starts + m)
-    elif 2 * d >= m:
-        total = seg(starts - d, starts - d + m) + seg(starts + d, starts + d + m)
-    else:
-        total = seg(starts - d, starts + d + m)
-    return total / float(m)
-
-
-def _row_trailing_max(ws: np.ndarray, m: int, n: int) -> np.ndarray:
-    if m == 1:
-        return ws[:, :n].copy()
-    ext = np.concatenate([ws, np.zeros((ws.shape[0], m))], axis=1)
-    mf = maximum_filter1d(ext, size=m, axis=1, mode="constant", cval=0.0)
-    return mf[:, m // 2 : m // 2 + n]
-
-
-def _shifted_maximal_rows(
-    a2: np.ndarray, sigma: float, prefix: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """shifted_maximal applied along axis 1 of a nonnegative 2D array."""
-    n = a2.shape[1]
-    if prefix is None:
-        prefix = _row_prefix(a2)
-    best = np.zeros_like(a2)
-    m = 1
-    while m < 2 * n:
-        d = int(round(sigma * m))
-        # d >= n+m-1 puts both shifted windows past the grid: means are 0
-        if d < n + m - 1:
-            np.maximum(
-                best,
-                _row_trailing_max(_row_window_means(a2, m, d, prefix), m, n),
-                out=best,
-            )
-        m *= 2
-    return best
-
-
 def _read_shifted_rows(g2: np.ndarray, ridx: np.ndarray, delta: int) -> np.ndarray:
     """Rows ridx of g2 translated by delta rows, zero outside the grid."""
     src = ridx - delta
@@ -830,7 +772,7 @@ def domination_experiment(
     for fi, f in enumerate(members):
         pf = project(f, l)
         pabs = np.abs(pf.values)
-        prefix = _row_prefix(pabs)
+        prefix = _prefix_sums(pabs)
         groups = _group_by_value(np.asarray(u.eval(f.x1s()), dtype=float))
         for k in k_list:
             lhs = np.abs(annulus_piece_apply(pf, u, curve, k, l, strict=strict).values)

@@ -590,42 +590,92 @@ def low_split_apply(
 # maximal operators
 
 
-def _window_means_extended(absvals: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Union means over I^(shift) for aligned windows of m samples.
+def _prefix_sums(a2: np.ndarray) -> np.ndarray:
+    """Zero-led running sums of each row of a2, stored with x along axis 0.
 
-    Entry i corresponds to the window whose left endpoint is (i - (m-1))
-    samples from the grid origin, i = 0 .. n+m-2; reads outside the grid
-    count as zero mass but the normalization stays 1/m.
+    Entry [j, r] is a2[r, :j].sum() accumulated left to right, j = 0 .. n.
     """
-    n = absvals.size
-    prefix = np.concatenate(([0.0], np.cumsum(absvals)))
-
-    def seg(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        lo = np.clip(lo, 0, n)
-        hi = np.clip(hi, 0, n)
-        return prefix[hi] - prefix[lo]
-
-    starts = np.arange(-(m - 1), n)
-    if d == 0:
-        total = seg(starts, starts + m)
-    elif 2 * d >= m:  # pieces [s-d, s-d+m) and [s+d, s+d+m) are disjoint
-        total = seg(starts - d, starts - d + m) + seg(starts + d, starts + d + m)
-    else:  # they overlap; the union is one interval, counted once
-        total = seg(starts - d, starts + d + m)
-    return total / float(m)
+    rows, n = a2.shape
+    prefix = np.empty((n + 1, rows))
+    prefix[0] = 0.0
+    np.cumsum(a2.T, axis=0, out=prefix[1:])
+    return prefix
 
 
-def _trailing_max(ws: np.ndarray, m: int, n: int) -> np.ndarray:
-    """max over the m windows containing each grid point: out[z] = max ws[z:z+m].
+def _segment_sums(prefix: np.ndarray, lo: int, width: int, count: int) -> np.ndarray:
+    """Sums over the samples [lo+i, lo+i+width) of every row, i = 0 .. count-1.
 
-    Realized by padding and reading the centered filter at an offset, which
-    sidesteps the origin bound of maximum_filter1d for even sizes.
+    Each sum is P[hi] - P[lo] with the indices clipped to the grid, so reads
+    left of it are 0 and reads right of it are P[n].  The clipped ends are
+    filled with those constants and the rest is a difference of two
+    contiguous slices: the same floats as a clipped gather, no padding.
     """
-    if m == 1:
-        return ws[:n].copy()
-    ext = np.concatenate([ws, np.zeros(m)])
-    mf = maximum_filter1d(ext, size=m, mode="constant", cval=0.0)
-    return mf[m // 2 : m // 2 + n]
+    n = prefix.shape[0] - 1
+    hi = lo + width
+    out = np.empty((count, prefix.shape[1]))
+
+    def clip(i: int) -> int:
+        return min(max(i, 0), count)
+
+    # the hi read is 0 below i = a_hi and P[n] from b_hi on; likewise lo
+    a_hi, b_hi = clip(-hi), clip(n + 1 - hi)
+    a_lo, b_lo = clip(-lo), clip(n + 1 - lo)
+    out[:a_hi] = 0.0
+    mid = min(a_lo, b_hi)
+    out[a_hi:mid] = prefix[hi + a_hi : hi + mid]
+    if a_lo <= b_hi:
+        np.subtract(prefix[hi + a_lo : hi + b_hi], prefix[lo + a_lo : lo + b_hi],
+                    out=out[a_lo:b_hi])
+    else:
+        out[b_hi:a_lo] = prefix[n]
+    top = max(a_lo, b_hi)
+    np.subtract(prefix[n], prefix[lo + top : lo + b_lo], out=out[top:b_lo])
+    out[b_lo:] = 0.0
+    return out
+
+
+def _shifted_maximal_rows(
+    a2: np.ndarray, sigma: float, prefix: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Shifted maximal function of each row of a nonnegative (rows, n) array.
+
+    The one implementation behind shifted_maximal and hl_maximal(...,
+    'aligned'); a 1D input is one row.  Level m = 1, 2, 4, .. < 2n holds the
+    windows of m samples, and d = round(sigma*m) is all that depends on
+    sigma.  Window i (left end i-(m-1)) averages the pieces shifted by -d and
+    +d (their union, counted once) over m; reads off the grid are zero mass.
+    Each point then takes the max over the m windows containing it, by
+    log2(m) doubling passes.  A level with d >= n+m-1 puts both pieces past
+    the grid for every window, so its means are 0 and it is skipped.  Pass
+    prefix = _prefix_sums(a2) to reuse it across calls on the same rows.
+    """
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    rows, n = a2.shape
+    if prefix is None:
+        prefix = _prefix_sums(a2)
+    best = np.zeros((n, rows))
+    m = 1
+    while m < 2 * n:
+        d = int(round(sigma * m))
+        if d < n + m - 1:
+            count = n + m - 1
+            first = -(m - 1)
+            if d == 0:
+                ws = _segment_sums(prefix, first, m, count)
+            elif 2 * d >= m:  # pieces [s-d, s-d+m) and [s+d, s+d+m) are disjoint
+                ws = _segment_sums(prefix, first - d, m, count)
+                ws += _segment_sums(prefix, first + d, m, count)
+            else:  # they overlap; the union is one interval, counted once
+                ws = _segment_sums(prefix, first - d, m + 2 * d, count)
+            ws /= float(m)
+            k = 1
+            while k < m:  # ws[z] becomes max ws[z : z+2k]
+                ws = np.maximum(ws[:-k], ws[k:])
+                k *= 2
+            np.maximum(best, ws, out=best)
+        m *= 2
+    return np.ascontiguousarray(best.T)
 
 
 def hl_maximal(f: GridFunction1D, family: str = "centered") -> GridFunction1D:
@@ -633,7 +683,8 @@ def hl_maximal(f: GridFunction1D, family: str = "centered") -> GridFunction1D:
 
     family='centered': centered sample means over radii step*2^j (plus the
     point value itself).  family='aligned': grid-aligned windows of length
-    step*2^j containing the point, the sigma = 0 case of shifted_maximal.
+    step*2^j containing the point, the sigma = 0 case of shifted_maximal
+    (the same row routine, no separate code path).
     """
     a = np.abs(f.values)
     n = a.size
@@ -658,17 +709,9 @@ def shifted_maximal(f: GridFunction1D, sigma: float) -> GridFunction1D:
 
     For each window I of length step*2^j containing the point, averages |f|
     over the two-piece shifted set I +- sigma|I| (union, counted once),
-    normalized by |I| as in the defining display.
+    normalized by |I| as in the defining display.  A thin wrapper: |f| is
+    one row of _shifted_maximal_rows, which skips the lengths whose shifted
+    pieces miss the grid entirely.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    a = np.abs(f.values)
-    n = a.size
-    best = np.zeros(n)
-    m = 1
-    while m < 2 * n:
-        d = int(round(sigma * m))
-        ws = _window_means_extended(a, m, d)
-        np.maximum(best, _trailing_max(ws, m, n), out=best)
-        m *= 2
+    best = _shifted_maximal_rows(np.abs(f.values)[None, :], sigma)[0]
     return f.with_values(best.astype(np.complex128))

@@ -7,6 +7,7 @@ import pytest
 
 from curveflow import __version__
 from curveflow import cli
+from curveflow.fixtures import load_fixtures
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,28 @@ def test_fixtures_env_override(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out and "growth exponent" in out
     monkeypatch.delenv("CURVEFLOW_FIXTURES")
     code2, out2, _ = run_cli(capsys, "shift-growth", "--config", str(cfg))
+    assert code2 == 0
+
+
+def test_fixtures_env_beats_explicit_path(tmp_path, capsys, monkeypatch):
+    lax, strict = tmp_path / "lax.json", tmp_path / "strict.json"
+    lax.write_text(json.dumps({"shift_growth_b_max": 10.0}))
+    strict.write_text(json.dumps({"shift_growth_b_max": -10.0}))
+    monkeypatch.setenv("CURVEFLOW_FIXTURES", str(strict))
+    assert load_fixtures(str(lax)) == {"shift_growth_b_max": -10.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sigmas": [0.0, 4.0],
+        "family": {"generator": "indicators", "count": 2, "seed": 3,
+                   "grid": [-8.0, 8.0, 1025]},
+        "p": 2.0,
+    }))
+    argv = ["shift-growth", "--config", str(cfg), "--fixtures", str(lax)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and "growth exponent" in out
+    monkeypatch.delenv("CURVEFLOW_FIXTURES")
+    assert load_fixtures(str(lax)) == {"shift_growth_b_max": 10.0}
+    code2, _, _ = run_cli(capsys, *argv)
     assert code2 == 0
 
 

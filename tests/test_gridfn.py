@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curveflow.gridfn import (
     GridFunction1D,
@@ -90,6 +92,33 @@ def test_binary_magic_bytes(tmp_path):
     p = tmp_path / "f.cfgf"
     write_grid_function(str(p), f)
     assert p.read_bytes()[:4] == b"CFGF"
+
+
+def test_binary_short_or_long_payload_refused(tmp_path):
+    # a 100-sample file cut to 90 samples used to read back as n = 90
+    f = GridFunction1D(0.0, 0.1, np.arange(100.0) + 0j)
+    p = tmp_path / "f.cfgf"
+    write_grid_function(str(p), f)
+    full = p.read_bytes()
+    p.write_bytes(full[: len(full) - 16 * 10])
+    with pytest.raises(ValueError, match="promises 100 samples"):
+        read_grid_function(str(p))
+    p.write_bytes(full + bytes(16))
+    with pytest.raises(ValueError, match="promises 100 samples"):
+        read_grid_function(str(p))
+
+
+@given(which=st.sampled_from(["1d", "2d"]), frac=st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_binary_truncated_anywhere_refused(tmp_path, which, frac):
+    f = make1d() if which == "1d" else make2d()
+    p = tmp_path / f"{which}.cfgf"
+    write_grid_function(str(p), f)
+    full = p.read_bytes()
+    p.write_bytes(full[: int(frac * len(full))])
+    with pytest.raises(ValueError):
+        read_grid_function(str(p))
 
 
 def test_csv_header_shape(tmp_path):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
 from curveflow.curves import Curve, builtin_curve
 from curveflow.dyadic import make_bump
@@ -22,7 +25,12 @@ from curveflow.operators import (
     shifted_maximal,
     truncated_piece_apply,
 )
-from curveflow.operators import _carleson_direct
+from curveflow.operators import (
+    _carleson_direct,
+    _prefix_sums,
+    _segment_sums,
+    _shifted_maximal_rows,
+)
 
 
 def indicator(lo, hi, origin, step, n):
@@ -315,6 +323,95 @@ def brute_shifted(vals, sigma):
                 out[z] = max(out[z], tot / m)
             m *= 2
     return out
+
+
+def gather_shifted_rows(a2, sigma):
+    """The clipped-gather + maximum_filter1d row routine, kept as the oracle.
+
+    It evaluates every level, including those whose shifted pieces miss the
+    grid, so it also checks that skipping them changes nothing.
+    """
+    rows, n = a2.shape
+    prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(a2, axis=1)], axis=1)
+
+    def seg(lo, hi):
+        return prefix[:, np.clip(hi, 0, n)] - prefix[:, np.clip(lo, 0, n)]
+
+    best = np.zeros_like(a2)
+    m = 1
+    while m < 2 * n:
+        d = int(round(sigma * m))
+        starts = np.arange(-(m - 1), n)
+        if d == 0:
+            total = seg(starts, starts + m)
+        elif 2 * d >= m:
+            total = seg(starts - d, starts - d + m) + seg(starts + d, starts + d + m)
+        else:
+            total = seg(starts - d, starts + d + m)
+        ws = total / float(m)
+        if m == 1:
+            trail = ws[:, :n]
+        else:
+            ext = np.concatenate([ws, np.zeros((rows, m))], axis=1)
+            mf = maximum_filter1d(ext, size=m, axis=1, mode="constant", cval=0.0)
+            trail = mf[:, m // 2 : m // 2 + n]
+        np.maximum(best, trail, out=best)
+        m *= 2
+    return best
+
+
+def level_sigmas(n):
+    """Sigmas putting some level m at each branch edge of d = round(sigma*m).
+
+    d = 0; 2d = m (first disjoint shift); 2d = m-2 (last overlapping shift
+    for even m; 2d = m-1 only occurs at m = 1, d = 0); d = n+m-2 (last level
+    read) and d = n+m-1 (first skipped).
+    """
+    out = {0.0}
+    m = 1
+    while m < 2 * n:
+        for d in (m // 2, m // 2 - 1, n + m - 2, n + m - 1):
+            if d >= 0:
+                out.add(d / m)
+        m *= 2
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_segment_sums_equal_clipped_gather(n):
+    a2 = np.random.default_rng(n).random((2, n))
+    prefix = _prefix_sums(a2)
+    for lo in range(-(n + 4), n + 5):
+        for width in range(1, 2 * n + 4):
+            for count in (1, 3, 2 * n + width + 6):
+                i = lo + np.arange(count)
+                want = prefix[np.clip(i + width, 0, n)] - prefix[np.clip(i, 0, n)]
+                got = _segment_sums(prefix, lo, width, count)
+                assert np.array_equal(got, want), (lo, width, count)
+
+
+@pytest.mark.parametrize("rows,n", [(1, 1), (3, 1), (1, 2), (2, 7), (4, 64), (3, 403)])
+def test_shifted_rows_equal_gather_reference(rows, n):
+    rng = np.random.default_rng(1000 * rows + n)
+    a2 = rng.random((rows, n))
+    a2[rng.random((rows, n)) < 0.3] = 0.0  # exact zeros give ties in the max
+    prefix = _prefix_sums(a2)
+    for sig in level_sigmas(n):
+        want = gather_shifted_rows(a2, sig)
+        assert np.array_equal(_shifted_maximal_rows(a2, sig), want), sig
+        assert np.array_equal(_shifted_maximal_rows(a2, sig, prefix), want), sig
+
+
+@given(
+    rows=st.integers(1, 4),
+    n=st.integers(1, 90),
+    sigma=st.one_of(st.floats(0.0, 200.0), st.integers(0, 300).map(lambda k: k / 8.0)),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=150, deadline=None)
+def test_shifted_rows_property_equal_gather_reference(rows, n, sigma, seed):
+    a2 = np.random.default_rng(seed).random((rows, n))
+    assert np.array_equal(_shifted_maximal_rows(a2, sigma), gather_shifted_rows(a2, sigma))
 
 
 def test_hl_maximal_matches_brute_force():
