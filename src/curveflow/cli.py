@@ -4,7 +4,8 @@ One executable, one subcommand per experiment.  Every run can be driven
 from a JSON config file (validated against ``data/config_schema.json``);
 command-line flags override config fields.  Exit status: 0 when every
 verdict passes, 1 when a verdict fails (the failing invariant is named on
-stdout), 2 on usage or configuration errors.
+stdout), 2 on usage or configuration errors and on input with NaN or inf
+samples.
 
 Artifacts: with ``--out DIR`` each run writes ``<subcommand>.json`` (the
 report), a per-sample CSV where the experiment has rows, and
@@ -15,10 +16,6 @@ The thresholds fixture defaults to the packaged ``data/thresholds.json``;
 a ``--fixtures`` flag or config field can point elsewhere, and the
 environment variable ``CURVEFLOW_FIXTURES`` overrides both.  Gate values
 written as ``"fixtures:<key>"`` are looked up in that file.
-
-``--jobs N`` is accepted and recorded for scheduling hints; all reductions
-here are order-independent (max / fixed-order sums), so N has no effect on
-any reported number.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ except ImportError:  # pragma: no cover
 from . import __version__
 from .curves import Curve, builtin_curve, check_conditions
 from .dyadic import make_bump
-from .errors import CoverageError, GeometryError, HypothesisError
+from .errors import CoverageError, GeometryError, HypothesisError, NonFiniteError
 from .fixtures import fixtures_path, load_fixtures
 from .gridfn import (
     GridFunction1D,
@@ -126,9 +123,6 @@ def _merged(args, defaults: dict) -> dict:
         if key in ("func", "config", "command") or val is None:
             continue
         cfg[key] = val
-    jobs = cfg.get("jobs")
-    if jobs is not None and int(jobs) < 1:
-        raise ConfigError("jobs must be at least 1")
     return cfg
 
 
@@ -296,7 +290,6 @@ def _emit(cfg: dict, name: str, report: dict, wall: float,
         "version": __version__,
         "subcommand": name,
         "seed": cfg.get("seed"),
-        "jobs": cfg.get("jobs", 1),
         "fixtures": str(_fixtures_path(cfg)),
         "config": public,
         "config_hash": hashlib.sha256(_dumps(public).encode()).hexdigest()[:16],
@@ -741,7 +734,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--config", help="JSON config file; flags override its fields")
     sp.add_argument("--out", help="output directory for report, CSV, and manifest")
     sp.add_argument("--seed", type=int, help="run seed, recorded in every output")
-    sp.add_argument("--jobs", type=int, help="worker hint; results are N-independent")
     sp.add_argument("--fixtures", help="thresholds fixture path "
                     "(CURVEFLOW_FIXTURES overrides)")
 
@@ -846,7 +838,7 @@ def main(argv=None) -> int:
     except HypothesisError as e:
         print(f"FAIL hypothesis: {e}")
         return 1
-    except CoverageError as e:
+    except (CoverageError, NonFiniteError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:

@@ -17,5 +17,9 @@ class CoverageError(CurveflowError):
         self.missing_extent = missing_extent
 
 
+class NonFiniteError(CurveflowError):
+    """An input carries NaN or inf samples, which one FFT spreads to every output."""
+
+
 class GeometryError(CurveflowError):
     """A covering construction has no admissible configuration."""

@@ -12,6 +12,9 @@ File formats:
   * Binary: little-endian, magic `CFGF`, version byte, dims byte, the same
     header fields as float64/uint64, then the interleaved re,im payload.
     A file cut short, or with bytes past the promised payload, is refused.
+
+Both readers refuse NaN or inf samples with a NonFiniteError, as every
+operator does.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import CoverageError, NonFiniteError
 
 __all__ = [
     "GridFunction1D",
@@ -35,6 +38,13 @@ __all__ = [
 
 _MAGIC = b"CFGF"
 _VERSION = 1
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Refuse NaN or inf samples in one np.isfinite pass."""
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise NonFiniteError(f"{what}: {bad} of {values.size} samples are NaN or inf")
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -235,9 +245,9 @@ def write_grid_function(path: str, f: Union[GridFunction1D, GridFunction2D], fmt
 def read_grid_function(path: str) -> Union[GridFunction1D, GridFunction2D]:
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == _MAGIC:
-        return _read_binary(path)
-    return _read_csv(path)
+    f = _read_binary(path) if head == _MAGIC else _read_csv(path)
+    _require_finite(f.values, str(path))
+    return f
 
 
 def _write_csv(path, f) -> None:

@@ -35,7 +35,7 @@ from . import __version__
 from .curves import Curve, LogGrid, check_conditions
 from .dyadic import frequency_index, max_projection_level, project
 from .errors import GeometryError, HypothesisError
-from .gridfn import GridFunction1D, GridFunction2D, ModulationField
+from .gridfn import GridFunction1D, GridFunction2D, ModulationField, _require_finite
 from .operators import (
     PVConfig,
     _group_by_value,
@@ -725,16 +725,6 @@ def covering_geometry(
 # domination by shifted maximal averages
 
 
-def _read_shifted_rows(g2: np.ndarray, ridx: np.ndarray, delta: int) -> np.ndarray:
-    """Rows ridx of g2 translated by delta rows, zero outside the grid."""
-    src = ridx - delta
-    valid = (src >= 0) & (src < g2.shape[0])
-    out = np.zeros((ridx.size, g2.shape[1]))
-    if np.any(valid):
-        out[valid] = g2[src[valid]]
-    return out
-
-
 def domination_experiment(
     curve: Curve,
     u: ModulationField,
@@ -770,6 +760,7 @@ def domination_experiment(
     rows = []
     violations = 0
     for fi, f in enumerate(members):
+        _require_finite(f.values, f"domination_experiment member {fi}")
         pf = project(f, l)
         pabs = np.abs(pf.values)
         prefix = _prefix_sums(pabs)
@@ -810,8 +801,10 @@ def domination_experiment(
                         for off in offs:
                             t_node = pos[j] + off
                             delta = int(round(t_node / f.h1))
-                            piece += _read_shifted_rows(g2, ridx, delta)
-                            piece += _read_shifted_rows(g2, ridx, -delta)
+                            for src in (ridx - delta, ridx + delta):
+                                # rows read off the grid add nothing
+                                valid = (src >= 0) & (src < g2.shape[0])
+                                piece[valid] += g2[src[valid]]
                         a_tau += piece / (n_t * m_sub.size)
                     acc += w_tau * a_tau
                     np.maximum(peak, a_tau, out=peak)

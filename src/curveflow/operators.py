@@ -9,31 +9,37 @@ analytically.
 Fast path: because f is read by linear (bilinear in 2D) interpolation on a
 uniform grid, the quadrature sum over nodes is *exactly* a discrete
 convolution of the grid samples with a kernel obtained by hat-binning the
-node weights onto the grid lattice.  For modulation fields taking few values
-the operator is evaluated per constant-u group of output points with one FFT
-convolution each; this reorders the same floating-point sum, it is not an
-approximation.  A direct chunked evaluation covers the many-valued case and
-doubles as the oracle in tests.
+node weights onto the grid lattice.  One routine, _assemble, builds every
+such kernel in one pass over the nodes; an operator supplies only its node
+plan, its reach and its weights at +t and -t (and, in 2D, where a node
+lands on x2).  For modulation fields taking few values the operator is
+evaluated per constant-u group of output points with one FFT convolution
+each, by one routine, _apply_groups; this reorders the same floating-point
+sum, it is not an approximation.  A direct chunked evaluation covers the
+many-valued case and doubles as the oracle in tests.
 
 Out-of-grid reads are zero (compact-support convention).  With strict=True
 an operator refuses, with a CoverageError naming the missing extent, inputs
 whose boundary samples carry mass while translates read beyond the grid.
+Every operator refuses NaN or inf input with a NonFiniteError, since one
+FFT would spread it to every output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import fftconvolve
 
 from .curves import Curve, builtin_curve
-from .dyadic import BumpFunction, frequency_index, make_bump
+from .dyadic import BumpFunction, frequency_index, make_bump, smooth_step
 from .errors import CoverageError
-from .gridfn import GridFunction1D, GridFunction2D, ModulationField
+from .gridfn import GridFunction1D, GridFunction2D, ModulationField, _require_finite
 
 __all__ = [
     "PVConfig",
@@ -157,34 +163,50 @@ def _iter_nodes(plans: Iterable[Tuple[float, float, int]]):
             start = stop
 
 
-def _bin_linear_1d(acc: np.ndarray, pos: np.ndarray, q: np.ndarray) -> None:
-    """Hat-bin complex weights q at real lattice positions pos into acc."""
-    idx = np.floor(pos).astype(np.int64)
-    frac = pos - idx
-    n = acc.size
-    w0 = 1.0 - frac
-    acc.real += np.bincount(idx, weights=q.real * w0, minlength=n)[:n]
-    acc.imag += np.bincount(idx, weights=q.imag * w0, minlength=n)[:n]
-    acc.real += np.bincount(idx + 1, weights=q.real * frac, minlength=n)[:n]
-    acc.imag += np.bincount(idx + 1, weights=q.imag * frac, minlength=n)[:n]
+def _assemble(plans, steps, reach, weights, shift=None) -> List[np.ndarray]:
+    """Kernels from one pass over the nodes of plans, paired over +t and -t.
+
+    weights(t, w) gives, for each output channel, the complex weights at +t
+    and at -t.  A node s sits at s/steps[0] on axis 0 and, for the 2D
+    kernels, at shift(s)/steps[1] on axis 1; lattice index reach[i] is the
+    origin of axis i, and the kernel spans 2*reach[i] + 2 cells there.
+    """
+    shape = tuple(2 * r + 2 for r in reach)
+    kernels: List[np.ndarray] = []
+    for t, w in _iter_nodes(plans):
+        pairs = weights(t, w)
+        if not kernels:
+            kernels = [np.zeros(shape, dtype=np.complex128) for _ in pairs]
+        for side, s in enumerate((t, -t)):
+            pos = [s / steps[0] + reach[0]]
+            if shift is not None:
+                pos.append(shift(s) / steps[1] + reach[1])
+            _bin_hat(kernels, pos, [pair[side] for pair in pairs])
+        del pairs  # else the next chunk's weights are built beside it: higher peak memory
+    return kernels
 
 
-def _bin_linear_2d(acc: np.ndarray, p1: np.ndarray, p2: np.ndarray, q: np.ndarray) -> None:
-    i = np.floor(p1).astype(np.int64)
-    j = np.floor(p2).astype(np.int64)
-    f1 = p1 - i
-    f2 = p2 - j
-    w1, w2 = acc.shape
-    flat = acc.reshape(-1)
-    for di, dj, w in (
-        (0, 0, (1 - f1) * (1 - f2)),
-        (1, 0, f1 * (1 - f2)),
-        (0, 1, (1 - f1) * f2),
-        (1, 1, f1 * f2),
-    ):
-        lin = (i + di) * w2 + (j + dj)
-        flat.real += np.bincount(lin, weights=q.real * w, minlength=flat.size)[: flat.size]
-        flat.imag += np.bincount(lin, weights=q.imag * w, minlength=flat.size)[: flat.size]
+def _bin_hat(kernels: List[np.ndarray], pos: List[np.ndarray], qs: List[np.ndarray]) -> None:
+    """Hat-bin complex weights qs[c] at real lattice positions pos into kernels[c].
+
+    pos holds one coordinate array per axis.  The corners are visited with
+    axis 0 fastest, so every bincount add comes in one fixed order.
+    """
+    base = [np.floor(p).astype(np.int64) for p in pos]
+    frac = [p - i for p, i in zip(pos, base)]
+    shape, size = kernels[0].shape, kernels[0].size
+    for corner in itertools.product((0, 1), repeat=len(pos)):
+        corner = corner[::-1]
+        # temporaries are made per corner: holding all of them is slower
+        lin = base[0] + 1 if corner[0] else base[0]
+        hat = frac[0] if corner[0] else 1 - frac[0]
+        for ax in range(1, len(pos)):
+            lin = lin * shape[ax] + (base[ax] + corner[ax])
+            hat = hat * (frac[ax] if corner[ax] else 1 - frac[ax])
+        for acc, q in zip(kernels, qs):
+            flat = acc.reshape(-1)
+            flat.real += np.bincount(lin, weights=q.real * hat, minlength=size)[:size]
+            flat.imag += np.bincount(lin, weights=q.imag * hat, minlength=size)[:size]
 
 
 def _phase_factor(curve: Curve, v: float, t: np.ndarray) -> np.ndarray:
@@ -238,44 +260,41 @@ def _group_by_value(vals: np.ndarray) -> List[Tuple[float, np.ndarray]]:
     return [(float(uniq[g]), np.nonzero(inverse == g)[0]) for g in range(uniq.size)]
 
 
-def _silence_1d(out: np.ndarray, f_vals: np.ndarray, reach: int) -> None:
-    """Zero output points whose whole read window carries no mass.
+def _convolve(values: np.ndarray, kernel: np.ndarray, reach: Tuple[int, ...]) -> np.ndarray:
+    full = fftconvolve(values, kernel, mode="full")
+    return full[tuple(slice(r, r + n) for r, n in zip(reach, values.shape))]
 
-    The FFT convolution smears rounding noise everywhere; a point whose
-    translates only ever read zeros must come out exactly zero.
+
+def _apply_groups(values: np.ndarray, groups, build, channels: int = 1) -> List[np.ndarray]:
+    """Per constant-u group, convolve with its kernels and keep its rows.
+
+    build(v) returns (kernels, reach), one kernel per output channel, or
+    None for a group that is zero.  Afterwards every point whose whole read
+    window (the largest reach + 1 on each axis) carries no mass is set to
+    exact zero: the FFT smears rounding noise everywhere, but a point whose
+    translates only ever read zeros must come out zero.
     """
-    nz = (np.abs(f_vals) > 0.0).astype(np.uint8)
-    act = maximum_filter1d(nz, size=2 * reach + 1, mode="constant", cval=0)
-    out[act == 0] = 0.0
-
-
-def _silence_2d(out: np.ndarray, f_vals: np.ndarray, reach1: int, reach2: int) -> None:
-    nz = (np.abs(f_vals) > 0.0).astype(np.uint8)
-    act = maximum_filter1d(nz, size=2 * reach1 + 1, mode="constant", cval=0, axis=0)
-    act = maximum_filter1d(act, size=2 * reach2 + 1, mode="constant", cval=0, axis=1)
-    out[act == 0] = 0.0
+    outs = [np.zeros(values.shape, dtype=np.complex128) for _ in range(channels)]
+    reach = [0] * values.ndim
+    for v, rows in groups:
+        built = build(v)
+        if built is None:
+            continue
+        kernels, r = built
+        for out, kernel in zip(outs, kernels):
+            out[rows] = _convolve(values, kernel, r)[rows]
+        reach = [max(a, m + 1) for a, m in zip(reach, r)]
+    if any(reach):
+        act = (np.abs(values) > 0.0).astype(np.uint8)
+        for axis, r in enumerate(reach):
+            act = maximum_filter1d(act, size=2 * r + 1, mode="constant", cval=0, axis=axis)
+        for out in outs:
+            out[act == 0] = 0.0
+    return outs
 
 
 # ---------------------------------------------------------------------------
 # Carleson-type modulated singular integral (1D)
-
-
-def _carleson_kernel(
-    curve: Curve, v: float, cfg: PVConfig, h: float, plans
-) -> Tuple[np.ndarray, int]:
-    M = int(math.ceil(cfg.radius / h)) + 1
-    acc = np.zeros(2 * M + 2, dtype=np.complex128)
-    for t, w in _iter_nodes(plans):
-        q_plus = w * _phase_factor(curve, v, t) / t
-        q_minus = -w * _phase_factor(curve, v, -t) / t
-        _bin_linear_1d(acc, t / h + M, q_plus)
-        _bin_linear_1d(acc, -t / h + M, q_minus)
-    return acc, M
-
-
-def _convolve_1d(values: np.ndarray, kernel: np.ndarray, M: int) -> np.ndarray:
-    full = fftconvolve(values, kernel, mode="full")
-    return full[M : M + values.size]
 
 
 def _carleson_plans(curve: Curve, v: float, cfg: PVConfig):
@@ -283,6 +302,12 @@ def _carleson_plans(curve: Curve, v: float, cfg: PVConfig):
     if v != 0.0:
         rate = lambda a, b: abs(v) * float(curve.deriv(b, 1, check=False))
     return _octave_plans(cfg.epsilon, cfg.radius, cfg.substep, rate)
+
+
+def _carleson_weights(curve: Curve, v: float):
+    return lambda t, w: [
+        (w * _phase_factor(curve, v, t) / t, -w * _phase_factor(curve, v, -t) / t)
+    ]
 
 
 def _carleson_direct(
@@ -316,20 +341,19 @@ def carleson_apply(
     strict: bool = False,
 ) -> GridFunction1D:
     """Modulated principal-value transform with phase u(x) * gamma(t)."""
+    _require_finite(f.values, "carleson_apply input")
     _check_coverage_1d(f, cfg.radius, strict)
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
     groups = _group_by_value(u_vals)
     if len(groups) > _GROUP_LIMIT:
         return f.with_values(_carleson_direct(f, u_vals, curve, cfg))
-    out = np.zeros(f.n, dtype=np.complex128)
-    reach = 0
-    for v, rows in groups:
+    M = int(math.ceil(cfg.radius / f.step)) + 1
+
+    def build(v):
         plans, _ = _carleson_plans(curve, v, cfg)
-        kernel, M = _carleson_kernel(curve, v, cfg, f.step, plans)
-        conv = _convolve_1d(f.values, kernel, M)
-        out[rows] = conv[rows]
-        reach = max(reach, M + 1)
-    _silence_1d(out, f.values, reach)
+        return _assemble(plans, (f.step,), (M,), _carleson_weights(curve, v)), (M,)
+
+    (out,) = _apply_groups(f.values, groups, build)
     return f.with_values(out)
 
 
@@ -337,14 +361,16 @@ def maximal_truncated_hilbert(
     f: GridFunction1D, cfg: PVConfig, *, strict: bool = False
 ) -> GridFunction1D:
     """Max over geometric truncation pairs of the plain Hilbert integral."""
+    _require_finite(f.values, "maximal_truncated_hilbert input")
     _check_coverage_1d(f, cfg.radius, strict)
     shells: List[np.ndarray] = []
     a = cfg.epsilon
     while a < cfg.radius:
         b = min(2.0 * a, cfg.radius)
         plans, _ = _octave_plans(a, b, cfg.substep)
-        kernel, M = _carleson_kernel(curve=_LINE, v=0.0, cfg=PVConfig(a, b, cfg.substep), h=f.step, plans=plans)
-        shells.append(_convolve_1d(f.values, kernel, M))
+        M = int(math.ceil(b / f.step)) + 1
+        (kernel,) = _assemble(plans, (f.step,), (M,), _carleson_weights(_LINE, 0.0))
+        shells.append(_convolve(f.values, kernel, (M,)))
         a = b
     cum = np.zeros((len(shells) + 1, f.n), dtype=np.complex128)
     for j, s in enumerate(shells):
@@ -360,32 +386,6 @@ def maximal_truncated_hilbert(
 # 2D transforms along the variable curve
 
 
-def _hilbert_kernel_2d(
-    curve: Curve,
-    v: float,
-    h1: float,
-    h2: float,
-    plans,
-    radius: float,
-    shift_bound: float,
-) -> Tuple[np.ndarray, int, int]:
-    M1 = int(math.ceil(radius / h1)) + 1
-    M2 = int(math.ceil(shift_bound / h2)) + 1
-    acc = np.zeros((2 * M1 + 2, 2 * M2 + 2), dtype=np.complex128)
-    for t, w in _iter_nodes(plans):
-        g_pos = v * curve.deriv(t, 0, check=False)
-        g_neg = v * curve.deriv(-t, 0, check=False)
-        q = w / t
-        _bin_linear_2d(acc, t / h1 + M1, g_pos / h2 + M2, q.astype(np.complex128))
-        _bin_linear_2d(acc, -t / h1 + M1, g_neg / h2 + M2, -q.astype(np.complex128))
-    return acc, M1, M2
-
-
-def _conv2_rows(values: np.ndarray, kernel: np.ndarray, M1: int, M2: int) -> np.ndarray:
-    full = fftconvolve(values, kernel, mode="full")
-    return full[M1 : M1 + values.shape[0], M2 : M2 + values.shape[1]]
-
-
 def hilbert_variable_apply(
     f: GridFunction2D,
     u: ModulationField,
@@ -395,23 +395,26 @@ def hilbert_variable_apply(
     strict: bool = False,
 ) -> GridFunction2D:
     """Transform along the variable curve (x1 - t, x2 - u(x1) gamma(t))."""
+    _require_finite(f.values, "hilbert_variable_apply input")
     u_vals = np.asarray(u.eval(f.x1s()), dtype=float)
     vmax = float(np.max(np.abs(u_vals))) if u_vals.size else 0.0
     shift_cap = abs(vmax) * float(curve.deriv(cfg.radius, 0, check=False)) if vmax else 0.0
     _check_coverage_2d(f, cfg.radius, shift_cap, strict)
-    groups = _group_by_value(u_vals)
-    out = np.zeros_like(f.values)
-    r1 = r2 = 0
-    for v, rows in groups:
+
+    def weights(t, w):
+        q = (w / t).astype(np.complex128)
+        return [(q, -q)]
+
+    def build(v):
         # the x2 shift must be resolved to the grid scale alongside the grading
         rate = lambda a, b: abs(v) * float(curve.deriv(b, 1, check=False)) / f.h2
         plans, _ = _octave_plans(cfg.epsilon, cfg.radius, cfg.substep, rate)
         sb = abs(v) * float(curve.deriv(cfg.radius, 0, check=False)) + 1.0
-        kernel, M1, M2 = _hilbert_kernel_2d(curve, v, f.h1, f.h2, plans, cfg.radius, sb)
-        conv = _conv2_rows(f.values, kernel, M1, M2)
-        out[rows, :] = conv[rows, :]
-        r1, r2 = max(r1, M1 + 1), max(r2, M2 + 1)
-    _silence_2d(out, f.values, r1, r2)
+        reach = (int(math.ceil(cfg.radius / f.h1)) + 1, int(math.ceil(sb / f.h2)) + 1)
+        on_x2 = lambda s: v * curve.deriv(s, 0, check=False)
+        return _assemble(plans, (f.h1, f.h2), reach, weights, on_x2), reach
+
+    (out,) = _apply_groups(f.values, _group_by_value(u_vals), build)
     return f.with_values(out)
 
 
@@ -463,31 +466,28 @@ def truncated_piece_apply(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    _require_finite(f.values, "truncated_piece_apply input")
     psi = bump if bump is not None else make_bump()
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
-    out = np.zeros(f.n, dtype=np.complex128)
-    reach = 0
-    for v, rows in _group_by_value(u_vals):
+
+    def build(v):
         if v == 0.0:
-            continue
+            return None
         n = frequency_index(abs(v), curve, 0)
         scale = 2.0 ** (k + n)
         _check_coverage_1d(f, 2.0 * scale, strict)
         rate = abs(v) * float(curve.deriv(2.0 * scale, 1, check=False))
         plans, _ = _annulus_plan(scale, rate, f.step)
         M = int(math.ceil(2.0 * scale / f.step)) + 1
-        acc = np.zeros(2 * M + 2, dtype=np.complex128)
-        for t, w in _iter_nodes(plans):
+
+        def weights(t, w):
             window = psi(t / scale) / t
-            qp = w * _phase_factor(curve, v, t) * window
-            qm = -w * _phase_factor(curve, v, -t) * window
-            _bin_linear_1d(acc, t / f.step + M, qp)
-            _bin_linear_1d(acc, -t / f.step + M, qm)
-        conv = _convolve_1d(f.values, acc, M)
-        out[rows] = conv[rows]
-        reach = max(reach, M + 1)
-    if reach:
-        _silence_1d(out, f.values, reach)
+            return [(w * _phase_factor(curve, v, t) * window,
+                     -w * _phase_factor(curve, v, -t) * window)]
+
+        return _assemble(plans, (f.step,), (M,), weights), (M,)
+
+    (out,) = _apply_groups(f.values, _group_by_value(u_vals), build)
     return f.with_values(out)
 
 
@@ -504,33 +504,30 @@ def annulus_piece_apply(
     """Single annulus piece of the 2D transform applied to a band-projected f."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    _require_finite(f.values, "annulus_piece_apply input")
     psi = bump if bump is not None else make_bump()
     u_vals = np.asarray(u.eval(f.x1s()), dtype=float)
-    out = np.zeros_like(f.values)
-    r1 = r2 = 0
-    for v, rows in _group_by_value(u_vals):
+
+    def build(v):
         if v == 0.0:
-            continue
+            return None
         n = frequency_index(abs(v), curve, l)
         scale = 2.0 ** (k + n)
         shift = abs(v) * float(curve.deriv(2.0 * scale, 0, check=False))
         _check_coverage_2d(f, 2.0 * scale, shift, strict)
         rate2 = abs(v) * float(curve.deriv(2.0 * scale, 1, check=False)) / f.h2
         plans, _ = _annulus_plan(scale, rate2, f.h1)
-        M1 = int(math.ceil(2.0 * scale / f.h1)) + 1
-        M2 = int(math.ceil((shift + 1.0) / f.h2)) + 1
-        acc = np.zeros((2 * M1 + 2, 2 * M2 + 2), dtype=np.complex128)
-        for t, w in _iter_nodes(plans):
+        reach = (int(math.ceil(2.0 * scale / f.h1)) + 1,
+                 int(math.ceil((shift + 1.0) / f.h2)) + 1)
+
+        def weights(t, w):
             window = (w * psi(t / scale) / t).astype(np.complex128)
-            g_pos = v * curve.deriv(t, 0, check=False)
-            g_neg = v * curve.deriv(-t, 0, check=False)
-            _bin_linear_2d(acc, t / f.h1 + M1, g_pos / f.h2 + M2, window)
-            _bin_linear_2d(acc, -t / f.h1 + M1, g_neg / f.h2 + M2, -window)
-        conv = _conv2_rows(f.values, acc, M1, M2)
-        out[rows, :] = conv[rows, :]
-        r1, r2 = max(r1, M1 + 1), max(r2, M2 + 1)
-    if r1:
-        _silence_2d(out, f.values, r1, r2)
+            return [(window, -window)]
+
+        on_x2 = lambda s: v * curve.deriv(s, 0, check=False)
+        return _assemble(plans, (f.h1, f.h2), reach, weights, on_x2), reach
+
+    (out,) = _apply_groups(f.values, _group_by_value(u_vals), build)
     return f.with_values(out)
 
 
@@ -550,39 +547,38 @@ def low_split_apply(
     plain principal-value part; both are dominated by maximal functions.
     For u(x) = 0 the whole transform is low frequency: term one vanishes and
     term two is the truncated Hilbert integral over the full cfg range.
+    Both kernels of a group come from one pass over its nodes.
     """
-    from .dyadic import smooth_step
-
+    _require_finite(f.values, "low_split_apply input")
     _check_coverage_1d(f, cfg.radius, strict)
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
-    t1 = np.zeros(f.n, dtype=np.complex128)
-    t2 = np.zeros(f.n, dtype=np.complex128)
-    for v, rows in _group_by_value(u_vals):
+
+    def build(v):
         if v == 0.0:
             lo_cut = cfg.radius
             phi = lambda t: np.ones_like(t)
         else:
             n = frequency_index(abs(v), curve, 0)
             lo_cut = min(2.0 ** n, cfg.radius)
-            phi = lambda t, _n=n: smooth_step(np.abs(t) * 2.0 ** (-(_n - 1)))
-        plans, _ = _carleson_plans(curve, v, PVConfig(cfg.epsilon, lo_cut, cfg.substep)) if lo_cut > cfg.epsilon else ([], True)
+            phi = lambda t: smooth_step(np.abs(t) * 2.0 ** (-(n - 1)))
+        if lo_cut <= cfg.epsilon:
+            return None
+        plans, _ = _carleson_plans(curve, v, PVConfig(cfg.epsilon, lo_cut, cfg.substep))
         M = int(math.ceil(lo_cut / f.step)) + 1
-        acc1 = np.zeros(2 * M + 2, dtype=np.complex128)
-        acc2 = np.zeros(2 * M + 2, dtype=np.complex128)
-        for t, w in _iter_nodes(plans):
+
+        def weights(t, w):
             wp = phi(t)
             q_base_p = w * wp / t
             q_base_m = -w * wp / t
-            ph_p = _phase_factor(curve, v, t) - 1.0
-            ph_m = _phase_factor(curve, v, -t) - 1.0
-            _bin_linear_1d(acc1, t / f.step + M, q_base_p * ph_p)
-            _bin_linear_1d(acc1, -t / f.step + M, q_base_m * ph_m)
-            _bin_linear_1d(acc2, t / f.step + M, q_base_p)
-            _bin_linear_1d(acc2, -t / f.step + M, q_base_m)
-        c1 = _convolve_1d(f.values, acc1, M)
-        c2 = _convolve_1d(f.values, acc2, M)
-        t1[rows] = c1[rows]
-        t2[rows] = c2[rows]
+            return [
+                (q_base_p * (_phase_factor(curve, v, t) - 1.0),
+                 q_base_m * (_phase_factor(curve, v, -t) - 1.0)),
+                (q_base_p, q_base_m),
+            ]
+
+        return _assemble(plans, (f.step,), (M,), weights), (M,)
+
+    t1, t2 = _apply_groups(f.values, _group_by_value(u_vals), build, channels=2)
     return f.with_values(t1), f.with_values(t2)
 
 
@@ -686,6 +682,7 @@ def hl_maximal(f: GridFunction1D, family: str = "centered") -> GridFunction1D:
     step*2^j containing the point, the sigma = 0 case of shifted_maximal
     (the same row routine, no separate code path).
     """
+    _require_finite(f.values, "hl_maximal input")
     a = np.abs(f.values)
     n = a.size
     if family == "centered":
@@ -713,5 +710,6 @@ def shifted_maximal(f: GridFunction1D, sigma: float) -> GridFunction1D:
     one row of _shifted_maximal_rows, which skips the lengths whose shifted
     pieces miss the grid entirely.
     """
+    _require_finite(f.values, "shifted_maximal input")
     best = _shifted_maximal_rows(np.abs(f.values)[None, :], sigma)[0]
     return f.with_values(best.astype(np.complex128))

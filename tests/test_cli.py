@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from curveflow import __version__
 from curveflow import cli
 from curveflow.fixtures import load_fixtures
+from curveflow.gridfn import GridFunction1D, write_grid_function
 
 
 def run_cli(capsys, *argv):
@@ -79,10 +83,11 @@ def test_transform_requires_input(capsys):
 
 def test_config_schema_rejects_unknown_keys(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"bogus_key": 1}')
+    # jobs was a field until --jobs (which changed nothing) was deleted
+    bad.write_text('{"bogus_key": 1, "jobs": 2}')
     code, _, err = run_cli(capsys, "norm-sweep", "--config", str(bad))
     assert code == 2
-    assert "bogus_key" in err
+    assert "bogus_key" in err and "jobs" in err
 
 
 def test_bump_check_default_window(capsys):
@@ -149,15 +154,15 @@ def test_norm_sweep_artifacts_and_reproducibility(tmp_path, capsys):
     assert man["wall_time_s"] > 0
 
 
-def test_jobs_flag_does_not_change_results(tmp_path, capsys):
-    out1, out2 = tmp_path / "j1", tmp_path / "j4"
-    code1, _, _ = run_cli(capsys, "norm-sweep", "--jobs", "1", "--out", str(out1))
-    code2, _, _ = run_cli(capsys, "norm-sweep", "--jobs", "4", "--out", str(out2))
-    assert code1 == 0 and code2 == 0
-    r1 = json.loads((out1 / "norm-sweep.json").read_text())
-    r2 = json.loads((out2 / "norm-sweep.json").read_text())
-    r1.pop("environment"), r2.pop("environment")
-    assert r1 == r2
+def test_non_finite_input_file_exits_2(tmp_path, capsys):
+    xs = np.linspace(-4.0, 4.0, 161)
+    vals = np.exp(-xs**2) + 0j
+    vals[80] = np.nan
+    p = tmp_path / "f.cfgf"
+    write_grid_function(str(p), GridFunction1D(-4.0, 0.05, vals))
+    code, _, err = run_cli(capsys, "carleson", "--u", "const:0", "--f", str(p), "--at", "1")
+    assert code == 2
+    assert "NaN or inf" in err
 
 
 def test_fixtures_env_override(tmp_path, capsys, monkeypatch):
@@ -203,7 +208,11 @@ def test_fixtures_env_beats_explicit_path(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point_version():
+    # the child needs the repo's src/ on its path when curveflow is not installed
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "curveflow", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert __version__ in proc.stdout

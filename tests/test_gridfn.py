@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curveflow.errors import NonFiniteError
 from curveflow.gridfn import (
     GridFunction1D,
     GridFunction2D,
@@ -118,6 +119,19 @@ def test_binary_truncated_anywhere_refused(tmp_path, which, frac):
     full = p.read_bytes()
     p.write_bytes(full[: int(frac * len(full))])
     with pytest.raises(ValueError):
+        read_grid_function(str(p))
+
+
+@pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("binary", ".cfgf")])
+@pytest.mark.parametrize("which", ["1d", "2d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_reader_refuses_non_finite_samples(tmp_path, fmt, suffix, which, bad):
+    f = make1d() if which == "1d" else make2d()
+    vals = f.values.copy()
+    vals.flat[7] = bad
+    p = tmp_path / f"f{suffix}"
+    write_grid_function(str(p), f.with_values(vals), fmt=fmt)
+    with pytest.raises(NonFiniteError, match=f"1 of {vals.size} samples"):
         read_grid_function(str(p))
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d
 
 from curveflow.curves import Curve, builtin_curve
-from curveflow.dyadic import make_bump
-from curveflow.errors import CoverageError
+from curveflow.dyadic import frequency_index, make_bump
+from curveflow.errors import CoverageError, NonFiniteError
 from curveflow.gridfn import GridFunction1D, GridFunction2D, ModulationField
 from curveflow.operators import (
     PVConfig,
@@ -281,6 +281,131 @@ def test_low_split_zero_modulation_has_no_first_term():
     assert np.all(t1.values == 0.0)
     ref = carleson_apply(f, ModulationField.constant(0.0), builtin_curve("power", 2.0), cfg)
     assert np.allclose(t2.values, ref.values, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared grouped apply: silence contract and per-group rows
+
+GROUP_CURVE = builtin_curve("power", 2.0)
+# groups run in ascending u: the widest reach (smallest |u|) comes first, so
+# a silence reach taken from the last group alone would show
+GROUP_LEVELS = (-0.7, 0.0, 1.3)
+CFG_1D = PVConfig(1e-2, 1.0, 1e-2)
+CFG_2D = PVConfig(1e-2, 0.5, 1e-2)
+
+
+def _annulus_reach(v, k, l):
+    # x1 extent 2*scale; x2 extent |v| gamma(2*scale) + 1, as the kernel spans
+    if v == 0.0:
+        return (0.0, 0.0)
+    scale = 2.0 ** (k + frequency_index(abs(v), GROUP_CURVE, l))
+    return (2.0 * scale, abs(v) * float(GROUP_CURVE.deriv(2.0 * scale, 0)) + 1.0)
+
+
+# name -> (2D input?, apply returning its output arrays, reach per axis at u = v)
+GROUPED = {
+    "carleson": (
+        False,
+        lambda f, u: [carleson_apply(f, u, GROUP_CURVE, CFG_1D).values],
+        lambda v: (CFG_1D.radius,),
+    ),
+    "truncated": (
+        False,
+        lambda f, u: [truncated_piece_apply(f, u, GROUP_CURVE, 1).values],
+        lambda v: _annulus_reach(v, 1, 0)[:1],
+    ),
+    "low_split": (
+        False,
+        lambda f, u: [t.values for t in low_split_apply(f, u, GROUP_CURVE, CFG_1D)],
+        lambda v: (CFG_1D.radius,),
+    ),
+    "hilbert": (
+        True,
+        lambda f, u: [hilbert_variable_apply(f, u, GROUP_CURVE, CFG_2D).values],
+        lambda v: (CFG_2D.radius, abs(v) * float(GROUP_CURVE.deriv(CFG_2D.radius, 0)) + 1.0),
+    ),
+    "annulus": (
+        True,
+        lambda f, u: [annulus_piece_apply(f, u, GROUP_CURVE, 0, 0).values],
+        lambda v: _annulus_reach(v, 0, 0),
+    ),
+}
+
+
+def grouped_input(is2d):
+    """Indicator supported on [-0.5, 0.5] (times [-0.5, 0.5] in 2D), and u."""
+    u = ModulationField.piecewise([-0.3, 0.2], list(GROUP_LEVELS))
+    if not is2d:
+        return indicator(-0.5, 0.5, -6.0, 0.05, 241), u, (0.05,)
+    f = make_2d(61, 0.1, -3.0, 121, 0.1, -6.0,
+                lambda a, b: (np.abs(a) <= 0.5) & (np.abs(b) <= 0.5))
+    return f, u, (0.1, 0.1)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_grouped_output_is_exact_zero_out_of_reach(name):
+    # hat-binning puts kernel weight up to ceil(R/h) + 1 cells out, so the
+    # contract is exact 0 beyond the reach R plus three grid steps
+    is2d, apply, reach = GROUPED[name]
+    f, u, steps = grouped_input(is2d)
+    axes = [f.xs()] if not is2d else [f.x1s(), f.x2s()]
+    outs = apply(f, u)
+    for axis, (x, h) in enumerate(zip(axes, steps)):
+        r = max(reach(v)[axis] for v in GROUP_LEVELS)
+        far = np.abs(x) > 0.5 + r + 3.0 * h
+        assert np.any(far)
+        for out in outs:
+            assert np.all(np.take(out, np.nonzero(far)[0], axis=axis) == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_grouped_rows_match_the_constant_level_run(name):
+    is2d, apply, _ = GROUPED[name]
+    f, u, _ = grouped_input(is2d)
+    u_vals = u.eval(f.x1s() if is2d else f.xs())
+    mixed = apply(f, u)
+    for v in GROUP_LEVELS:
+        rows = u_vals == v
+        assert np.any(rows)
+        for got, ref in zip(mixed, apply(f, ModulationField.constant(v))):
+            assert np.max(np.abs(got[rows] - ref[rows])) <= 1e-12
+
+
+def test_grouped_silence_keeps_every_value_in_reach():
+    # silencing zeroes only what no translate reaches: on a grid much wider
+    # than the reach the fast path still matches the direct sum everywhere
+    f, u, _ = grouped_input(False)
+    fast = carleson_apply(f, u, GROUP_CURVE, CFG_1D).values
+    direct = _carleson_direct(f, u.eval(f.xs()), GROUP_CURVE, CFG_1D)
+    assert np.any(fast == 0.0) and np.any(np.abs(direct) > 0.0)
+    assert np.allclose(fast, direct, rtol=1e-9, atol=1e-12)
+
+
+# every public operator, applied to a given input
+PUBLIC_OPERATORS = {
+    "carleson_apply": lambda f: carleson_apply(f, ModulationField.constant(0.7), GROUP_CURVE, CFG_1D),
+    "maximal_truncated_hilbert": lambda f: maximal_truncated_hilbert(f, CFG_1D),
+    "truncated_piece_apply": lambda f: truncated_piece_apply(f, ModulationField.constant(0.7), GROUP_CURVE, 0),
+    "low_split_apply": lambda f: low_split_apply(f, ModulationField.constant(0.7), GROUP_CURVE, CFG_1D),
+    "hl_maximal_centered": lambda f: hl_maximal(f, "centered"),
+    "hl_maximal_aligned": lambda f: hl_maximal(f, "aligned"),
+    "shifted_maximal": lambda f: shifted_maximal(f, 0.7),
+    "hilbert_variable_apply": lambda f: hilbert_variable_apply(f, ModulationField.constant(0.7), GROUP_CURVE, CFG_2D),
+    "directional_hilbert_apply": lambda f: directional_hilbert_apply(f, 0.7, GROUP_CURVE, CFG_2D),
+    "annulus_piece_apply": lambda f: annulus_piece_apply(f, ModulationField.constant(0.7), GROUP_CURVE, 0, 0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("name", sorted(PUBLIC_OPERATORS))
+def test_operators_refuse_non_finite_input(name, bad):
+    f, _, _ = grouped_input(name in ("hilbert_variable_apply", "directional_hilbert_apply",
+                                     "annulus_piece_apply"))
+    PUBLIC_OPERATORS[name](f)  # the finite input is accepted
+    vals = f.values.copy()
+    vals.flat[vals.size // 3] = bad
+    with pytest.raises(NonFiniteError, match="1 of"):
+        PUBLIC_OPERATORS[name](f.with_values(vals))
 
 
 # ---------------------------------------------------------------------------
