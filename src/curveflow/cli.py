@@ -7,10 +7,20 @@ verdict passes, 1 when a verdict fails (the failing invariant is named on
 stdout), 2 on usage or configuration errors and on input with NaN or inf
 samples.
 
+One command table (``_COMMANDS``) declares every subcommand: its name,
+handler, help text, defaults and extra flags.  ``build_parser`` reads the
+table, and one runner (``_run``) drives each handler: it merges the config,
+times the handler, prints the report and writes the artifacts.  A handler
+maps the merged config to (report, CSV spec, failures, extra artifacts).
+
 Artifacts: with ``--out DIR`` each run writes ``<subcommand>.json`` (the
-report), a per-sample CSV where the experiment has rows, and
-``manifest.json`` (tool version, config hash, seed, wall time, artifact
-list).  Without ``--out`` the report goes to stdout only.
+report), a per-sample CSV where the experiment has rows, any extra files
+the handler produces (the transformed grid function of ``transform`` and
+``carleson``), and ``manifest.json`` (tool version, config hash, seed, wall
+time, artifact list).  The artifact list names every file written besides
+the manifest.  ``wall_time_s`` covers the whole handler, config resolution
+(curve, modulation, family, gates) included.  Without ``--out`` the report
+goes to stdout only.
 
 The thresholds fixture defaults to the packaged ``data/thresholds.json``;
 a ``--fixtures`` flag or config field can point elsewhere, and the
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -262,76 +273,41 @@ def _function_1d(cfg: dict) -> GridFunction1D:
 
 
 # ---------------------------------------------------------------------------
-# artifact emission
+# subcommands: each maps the merged config to (report, CSV spec or None,
+# failures, extra artifacts as {file name: grid function})
 
 
-def _emit(cfg: dict, name: str, report: dict, wall: float,
-          csv_spec: Optional[tuple] = None) -> None:
-    outdir = cfg.get("out")
-    if outdir is None:
-        return
-    out = pathlib.Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    rp = out / f"{name}.json"
-    rp.write_text(_dumps(report, indent=2) + "\n")
-    artifacts.append(rp.name)
-    if csv_spec is not None:
-        header, rows = csv_spec
-        cp = out / f"{name}.csv"
-        with cp.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        artifacts.append(cp.name)
-    public = {k: v for k, v in cfg.items() if k not in ("func",)}
-    manifest = {
-        "tool": "curveflow",
-        "version": __version__,
-        "subcommand": name,
-        "seed": cfg.get("seed"),
-        "fixtures": str(_fixtures_path(cfg)),
-        "config": public,
-        "config_hash": hashlib.sha256(_dumps(public).encode()).hexdigest()[:16],
-        "wall_time_s": wall,
-        "artifacts": artifacts,
-    }
-    (out / "manifest.json").write_text(_dumps(manifest, indent=2) + "\n")
+def _columns(samples: list, keys: tuple) -> tuple:
+    """CSV spec with the named columns of a list of per-sample dicts."""
+    return keys, [tuple(s[k] for k in keys) for s in samples]
 
 
-def _finish(cfg: dict, name: str, report: dict, wall: float,
-            csv_spec: Optional[tuple] = None, failures: Optional[list] = None) -> int:
-    report = dict(report)
-    report.setdefault("seed", cfg.get("seed"))
-    _emit(cfg, name, report, wall, csv_spec)
-    print(_dumps(report))
-    if failures:
-        for inv in failures:
-            print(f"FAIL {inv}")
-        return 1
-    return 0
+def _gate_failures(what: str, value: float, gate) -> list:
+    return [f"{what} {value:g} above gate {gate:g}"] if gate is not None and value > gate else []
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _dispersion_failures(what: str, rep, thr) -> list:
+    if thr is None or rep.verdicts["dispersion_within_threshold"]:
+        return []
+    return [f"{what} dispersion {rep.aggregate['dispersion']:g} exceeds {thr:g}"]
 
 
-def cmd_check_curve(args) -> int:
-    cfg = _merged(args, {})
-    curve = _curve_from(cfg)
-    t0 = time.perf_counter()
-    rep = check_conditions(curve)
-    wall = time.perf_counter() - t0
-    d = rep.to_dict()
-    failures = []
-    for cond in ("condition_i", "condition_ii", "condition_iii", "condition_iv"):
-        if not d[cond]["passed"]:
-            failures.append(f"curve {cond} ({d[cond]['detail']})")
-    return _finish(cfg, "check-curve", d, wall, failures=failures)
+def _function_2d(path, name: str) -> GridFunction2D:
+    f = read_grid_function(str(path))
+    if not isinstance(f, GridFunction2D):
+        raise ConfigError(f"{name} expects a 2D grid-function file")
+    return f
 
 
-def cmd_bump_check(args) -> int:
-    cfg = _merged(args, {"lo": 2.0**-8, "hi": 2.0**8, "points": 50001, "tol": 1e-10})
+def _check_curve(cfg):
+    d = check_conditions(_curve_from(cfg)).to_dict()
+    failures = [f"curve {c} ({d[c]['detail']})"
+                for c in ("condition_i", "condition_ii", "condition_iii", "condition_iv")
+                if not d[c]["passed"]]
+    return d, None, failures, {}
+
+
+def _bump_check(cfg):
     lo, hi = float(cfg["lo"]), float(cfg["hi"])
     if not 0 < lo < hi:
         raise ConfigError("need 0 < lo < hi")
@@ -339,88 +315,53 @@ def cmd_bump_check(args) -> int:
     ts = np.geomspace(lo, hi, int(cfg["points"]))
     l_min = int(math.floor(math.log2(lo))) - 2
     l_max = int(math.ceil(math.log2(hi))) + 2
-    t0 = time.perf_counter()
     acc = np.zeros_like(ts)
     for l in range(l_min, l_max + 1):
         acc += bump.dilated(l, ts)
     dev = float(np.max(np.abs(acc - 1.0)))
-    wall = time.perf_counter() - t0
-    report = {
-        "max_deviation": dev,
-        "window": [lo, hi],
-        "points": int(cfg["points"]),
-        "levels": [l_min, l_max],
-        "tol": float(cfg["tol"]),
-        "pass": dev <= float(cfg["tol"]),
-    }
-    failures = [] if report["pass"] else [
-        f"partition-of-unity deviation {dev:g} exceeds {cfg['tol']:g}"]
-    return _finish(cfg, "bump-check", report, wall, failures=failures)
+    ok = dev <= float(cfg["tol"])
+    report = {"max_deviation": dev, "window": [lo, hi], "points": int(cfg["points"]),
+              "levels": [l_min, l_max], "tol": float(cfg["tol"]), "pass": ok}
+    failures = [] if ok else [f"partition-of-unity deviation {dev:g} exceeds {cfg['tol']:g}"]
+    return report, None, failures, {}
 
 
-def _transform_stats(values: np.ndarray) -> dict:
-    a = np.abs(values)
-    return {"max_abs": float(a.max()), "mean_abs": float(a.mean())}
+def _apply_and_describe(cfg, name: str, apply, f):
+    """Apply a modulated transform to f; report its settings and output size."""
+    curve, u, pv = _curve_from(cfg), _modulation_from(cfg["u"]), _pv_from(cfg)
+    g = apply(f, u, curve, pv, strict=bool(cfg["strict"]))
+    a = np.abs(g.values)
+    report = {"pv": {"epsilon": pv.epsilon, "radius": pv.radius, "substep": pv.substep},
+              "curve": curve.label, "max_abs": float(a.max()), "mean_abs": float(a.mean())}
+    extra = {}
+    if cfg.get("out") is not None:
+        report["output"] = f"{name}_output.csv"
+        extra[report["output"]] = g
+    return g, report, extra
 
 
-def cmd_transform(args) -> int:
-    cfg = _merged(args, {"u": "const:1", "strict": True})
-    if cfg.get("no_strict"):
-        cfg["strict"] = False
+def _transform(cfg):
     if cfg.get("f") is None:
         raise ConfigError("transform needs --f FILE (a 2D grid function)")
-    f = read_grid_function(str(cfg["f"]))
-    if not isinstance(f, GridFunction2D):
-        raise ConfigError("transform expects a 2D grid-function file")
-    curve = _curve_from(cfg)
-    u = _modulation_from(cfg["u"])
-    pv = _pv_from(cfg)
-    t0 = time.perf_counter()
-    g = hilbert_variable_apply(f, u, curve, pv, strict=bool(cfg["strict"]))
-    wall = time.perf_counter() - t0
-    report = {"pv": {"epsilon": pv.epsilon, "radius": pv.radius, "substep": pv.substep},
-              "curve": curve.label, **_transform_stats(g.values)}
-    if cfg.get("out") is not None:
-        out = pathlib.Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        write_grid_function(str(out / "transform_output.csv"), g)
-        report["output"] = "transform_output.csv"
-    return _finish(cfg, "transform", report, wall)
+    f = _function_2d(cfg["f"], "transform")
+    _, report, extra = _apply_and_describe(cfg, "transform", hilbert_variable_apply, f)
+    return report, None, [], extra
 
 
-def cmd_carleson(args) -> int:
-    cfg = _merged(args, {"u": "const:0", "strict": True})
-    if cfg.get("no_strict"):
-        cfg["strict"] = False
-    f = _function_1d(cfg)
-    curve = _curve_from(cfg)
-    u = _modulation_from(cfg["u"])
-    pv = _pv_from(cfg)
-    t0 = time.perf_counter()
-    g = carleson_apply(f, u, curve, pv, strict=bool(cfg["strict"]))
-    wall = time.perf_counter() - t0
-    report = {"pv": {"epsilon": pv.epsilon, "radius": pv.radius, "substep": pv.substep},
-              "curve": curve.label, **_transform_stats(g.values)}
-    at = cfg.get("at")
-    if at is not None:
-        x = float(at)
+def _carleson(cfg):
+    g, report, extra = _apply_and_describe(cfg, "carleson", carleson_apply, _function_1d(cfg))
+    if cfg.get("at") is not None:
+        x = float(cfg["at"])
         idx = int(round((x - g.origin) / g.step))
         if not 0 <= idx < g.n:
             raise ConfigError(f"--at {x:g} is outside the grid")
         v = complex(g.values[idx])
-        report["at"] = g.origin + idx * g.step
-        report["value_re"] = v.real
-        report["value_im"] = v.imag
+        report.update(at=g.origin + idx * g.step, value_re=v.real, value_im=v.imag)
         if abs(v.imag) <= 1e-9 * max(1.0, abs(v.real)):
             print(f"{v.real:.12g}")
         else:
             print(f"{v.real:.12g}{v.imag:+.12g}j")
-    if cfg.get("out") is not None:
-        out = pathlib.Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        write_grid_function(str(out / "carleson_output.csv"), g)
-        report["output"] = "carleson_output.csv"
-    return _finish(cfg, "carleson", report, wall)
+    return report, None, [], extra
 
 
 def _parse_k_range(spec) -> list:
@@ -433,9 +374,7 @@ def _parse_k_range(spec) -> list:
     return sorted({int(k) for k in txt.split(",")})
 
 
-def cmd_kernel_decay(args) -> int:
-    cfg = _merged(args, {"k_range": "2:6", "s": "0.5,2.0", "u_x": 1.0, "u_z": 1.0,
-                         "n_x": 0, "n_z": 0, "r1": 1.0 / 8.0, "r2": 7.0 / 16.0})
+def _kernel_decay(cfg):
     curve = _curve_from(cfg)
     ks = _parse_k_range(cfg["k_range"])
     if any(k < 0 for k in ks):
@@ -448,23 +387,12 @@ def cmd_kernel_decay(args) -> int:
                     float(cfg["u_z"]), float(s), curve)
         for k in ks for s in s_vals
     ]
-    t0 = time.perf_counter()
-    rep = verify_kernel_bound(curve, samples, r1=float(cfg["r1"]), r2=float(cfg["r2"]))
-    wall = time.perf_counter() - t0
-    d = rep.to_dict()
-    rows = [(s["k"], s["s"], s["lhs"], s["shape"], s["ratio"]) for s in d["samples"]]
+    d = verify_kernel_bound(curve, samples, r1=float(cfg["r1"]), r2=float(cfg["r2"])).to_dict()
     unbounded = [s for s in d["samples"] if math.isinf(s["ratio"])]
-    d["verdicts"] = {
-        "bounded_ratios": not unbounded,
-        "replay_pass": d["all_pass"],
-    }
-    failures = []
-    if unbounded:
-        failures.append("kernel mass outside the declared decay support "
-                        f"({len(unbounded)} samples with shape 0, lhs > 0)")
-    return _finish(cfg, "kernel-decay", d, wall,
-                   csv_spec=(("k", "s", "lhs", "shape", "ratio"), rows),
-                   failures=failures)
+    d["verdicts"] = {"bounded_ratios": not unbounded, "replay_pass": d["all_pass"]}
+    failures = [f"kernel mass outside the declared decay support "
+                f"({len(unbounded)} samples with shape 0, lhs > 0)"] if unbounded else []
+    return d, _columns(d["samples"], ("k", "s", "lhs", "shape", "ratio")), failures, {}
 
 
 def _lemma_vdc_draw(rng) -> dict:
@@ -487,14 +415,11 @@ def _lemma_vdc_draw(rng) -> dict:
     return van_der_corput_check(pe, lo, hi)
 
 
-def cmd_lemma_check(args) -> int:
-    cfg = _merged(args, {"seed": 0, "draws": 200})
+def _lemma_check(cfg):
     curve = _curve_from(cfg)
     draws = int(cfg["draws"])
-    fixtures = _load_fixtures(cfg)
-    count_max = int(fixtures.get("interval_count_max", 4))
+    count_max = int(_resolve_gate("fixtures:interval_count_max", cfg))
     rng = np.random.default_rng(int(cfg["seed"]))
-    t0 = time.perf_counter()
     vdc_fail = sum(0 if _lemma_vdc_draw(rng)["pass"] else 1 for _ in range(draws))
     mat_fail = 0
     for _ in range(draws):
@@ -505,9 +430,7 @@ def cmd_lemma_check(args) -> int:
         x = rng.standard_normal(2)
         if not matrix_lower_bound_check(A, x)["pass"]:
             mat_fail += 1
-    worst = 0
-    unstable = 0
-    margin_flips = 0
+    worst = unstable = margin_flips = 0
     for _ in range(draws):
         a, b = rng.uniform(-20.0, 20.0, 2)
         c = float(rng.uniform(-10.0, 10.0))
@@ -521,7 +444,6 @@ def cmd_lemma_check(args) -> int:
             unstable += 1
         elif n1 != n2:
             margin_flips += 1
-    wall = time.perf_counter() - t0
     report = {
         "draws": draws,
         "oscillation_bound_failures": vdc_fail,
@@ -541,206 +463,217 @@ def cmd_lemma_check(args) -> int:
     if unstable:
         failures.append(
             f"interval count moved by more than 1 under refinement on {unstable} draws")
-    return _finish(cfg, "lemma-check", report, wall, failures=failures)
+    return report, None, failures, {}
 
 
-def cmd_norm_sweep(args) -> int:
-    cfg = _merged(args, {
-        "curve": {"family": "power", "alpha": 2.0},
-        "family": {"generator": "gaussians", "count": 2, "seed": 11,
-                   "grid": [-8.0, 8.0, 401]},
-        "modulations": ["const:0.5", "const:4.0"],
-        "p": 2.0,
-        "strict": False,
-    })
-    curve = _curve_from(cfg)
-    pv = _pv_from(cfg)
-    fam = _family_from(cfg)
+def _norm_sweep(cfg):
+    curve, pv, fam = _curve_from(cfg), _pv_from(cfg), _family_from(cfg)
     us = [_modulation_from(s) for s in cfg["modulations"]]
     thr = _resolve_gate(cfg.get("threshold"), cfg)
-    strict = bool(cfg.get("strict", False))
+    strict = bool(cfg["strict"])
     builder = lambda u: (lambda g: carleson_apply(g, u, curve, pv, strict=strict))
-    t0 = time.perf_counter()
     rep = sweep_modulations(builder, us, fam, float(cfg["p"]), threshold=thr)
-    wall = time.perf_counter() - t0
-    rows = [(r["u_index"], r["norm"], r["skipped"]) for r in rep.per_sample]
-    failures = []
-    if thr is not None and not rep.verdicts["dispersion_within_threshold"]:
-        failures.append(
-            f"norm dispersion {rep.aggregate['dispersion']:g} exceeds {thr:g}")
-    return _finish(cfg, "norm-sweep", rep.to_dict(), wall,
-                   csv_spec=(("u_index", "norm", "skipped"), rows),
-                   failures=failures)
+    return (rep.to_dict(), _columns(rep.per_sample, ("u_index", "norm", "skipped")),
+            _dispersion_failures("norm", rep, thr), {})
 
 
-def cmd_sk_decay(args) -> int:
-    cfg = _merged(args, {
-        "curve": {"family": "power", "alpha": 2.0},
-        "u": "const:1",
-        "family": {"generator": "modulated_gaussians", "count": 2, "seed": 21,
-                   "grid": [-600.0, 600.0, 60001]},
-        "k_max": 5,
-        "strict": False,
-    })
-    curve = _curve_from(cfg)
-    fam = _family_from(cfg)
-    u = _modulation_from(cfg["u"])
+def _sk_decay(cfg):
+    curve, fam, u = _curve_from(cfg), _family_from(cfg), _modulation_from(cfg["u"])
     gate = _resolve_gate(cfg.get("slope_max"), cfg)
-    t0 = time.perf_counter()
-    fit = decay_experiment(curve, u, fam, int(cfg["k_max"]),
-                           strict=bool(cfg.get("strict", False)))
-    wall = time.perf_counter() - t0
-    d = fit.to_dict()
-    d["slope_max"] = gate
-    rows = list(zip(d["k_values"], d["log2_ratios"]))
-    failures = []
-    if gate is not None and fit.slope > gate:
-        failures.append(f"decay slope {fit.slope:g} above gate {gate:g}")
-    return _finish(cfg, "sk-decay", d, wall,
-                   csv_spec=(("k", "log2_ratio"), rows), failures=failures)
+    fit = decay_experiment(curve, u, fam, int(cfg["k_max"]), strict=bool(cfg["strict"]))
+    d = dict(fit.to_dict(), slope_max=gate)
+    return (d, (("k", "log2_ratio"), list(zip(d["k_values"], d["log2_ratios"]))),
+            _gate_failures("decay slope", fit.slope, gate), {})
 
 
-def cmd_annulus(args) -> int:
-    cfg = _merged(args, {
-        "curve": {"family": "power", "alpha": 2.0},
-        "u": "const:1",
-        "family": {"generator": "gaussians", "count": 2, "seed": 19,
-                   "grid": [[-10.0, 10.0, 161], [-30.0, 30.0, 401]]},
-        "levels": [-1, 0, 1],
-        "p": 2.0,
-        "strict": False,
-    })
-    curve = _curve_from(cfg)
-    fam = _family_from(cfg)
-    u = _modulation_from(cfg["u"])
+def _annulus(cfg):
+    curve, fam, u = _curve_from(cfg), _family_from(cfg), _modulation_from(cfg["u"])
     thr = _resolve_gate(cfg.get("threshold"), cfg)
-    t0 = time.perf_counter()
     rep = single_annulus_experiment(curve, u, fam, [int(l) for l in cfg["levels"]],
                                     float(cfg["p"]), cfg=_pv_from(cfg),
-                                    strict=bool(cfg.get("strict", False)),
-                                    threshold=thr)
-    wall = time.perf_counter() - t0
-    rows = [(r["l"], r["norm"], r["skipped"]) for r in rep.per_sample]
-    failures = []
-    if thr is not None and not rep.verdicts["dispersion_within_threshold"]:
-        failures.append(
-            f"annulus dispersion {rep.aggregate['dispersion']:g} exceeds {thr:g}")
-    return _finish(cfg, "annulus", rep.to_dict(), wall,
-                   csv_spec=(("l", "norm", "skipped"), rows), failures=failures)
+                                    strict=bool(cfg["strict"]), threshold=thr)
+    return (rep.to_dict(), _columns(rep.per_sample, ("l", "norm", "skipped")),
+            _dispersion_failures("annulus", rep, thr), {})
 
 
-def cmd_square_fn(args) -> int:
-    cfg = _merged(args, {
-        "curve": {"family": "power", "alpha": 2.0},
-        "u": "const:0.9",
-        "family": {"generator": "gaussians", "count": 1, "seed": 19,
-                   "grid": [[-10.0, 10.0, 161], [-30.0, 30.0, 401]]},
-        "levels": [-1, 0, 1],
-        "p": 2.0,
-        "strict": False,
-    })
-    curve = _curve_from(cfg)
-    u = _modulation_from(cfg["u"])
+def _square_fn(cfg):
+    curve, u = _curve_from(cfg), _modulation_from(cfg["u"])
     if cfg.get("f") is not None:
-        f = read_grid_function(str(cfg["f"]))
-        if not isinstance(f, GridFunction2D):
-            raise ConfigError("square-fn expects a 2D grid-function file")
+        f = _function_2d(cfg["f"], "square-fn")
     else:
         f = _family_from(cfg).members()[0]
         if not isinstance(f, GridFunction2D):
             raise ConfigError("square-fn needs a 2D family or --f FILE")
-    t0 = time.perf_counter()
     out = square_function_experiment(curve, u, f, [int(l) for l in cfg["levels"]],
                                      float(cfg["p"]), cfg=_pv_from(cfg),
-                                     strict=bool(cfg.get("strict", False)))
-    wall = time.perf_counter() - t0
-    return _finish(cfg, "square-fn", out, wall)
+                                     strict=bool(cfg["strict"]))
+    return out, None, [], {}
 
 
-def cmd_shift_growth(args) -> int:
-    cfg = _merged(args, {
-        "sigmas": [0.0, 4.0, 16.0, 64.0],
-        "family": {"generator": "indicators", "count": 4, "seed": 3,
-                   "grid": [-8.0, 8.0, 4097]},
-        "p": 2.0,
-        "b_max": "fixtures:shift_growth_b_max",
-    })
+def _shift_growth(cfg):
     fam = _family_from(cfg)
     gate = _resolve_gate(cfg.get("b_max"), cfg)
-    t0 = time.perf_counter()
     rep = shifted_growth_probe([float(s) for s in cfg["sigmas"]], fam, float(cfg["p"]))
-    wall = time.perf_counter() - t0
-    rows = [(r["sigma"], r["norm"], r["skipped"]) for r in rep.per_sample]
-    d = rep.to_dict()
-    d["b_max"] = gate
-    failures = []
-    if gate is not None and rep.aggregate["fitted_b"] > gate:
-        failures.append(
-            f"fitted growth exponent {rep.aggregate['fitted_b']:g} above gate {gate:g}")
-    return _finish(cfg, "shift-growth", d, wall,
-                   csv_spec=(("sigma", "norm", "skipped"), rows), failures=failures)
+    return (dict(rep.to_dict(), b_max=gate), _columns(rep.per_sample, ("sigma", "norm", "skipped")),
+            _gate_failures("fitted growth exponent", rep.aggregate["fitted_b"], gate), {})
 
 
-def cmd_geometry(args) -> int:
-    cfg = _merged(args, {"u_abs": 1.0, "l": 0, "k": 0, "tau": 0})
-    curve = _curve_from(cfg)
-    t0 = time.perf_counter()
-    geom = covering_geometry(curve, float(cfg["u_abs"]), int(cfg["l"]),
-                             int(cfg["k"]), int(cfg["tau"]))
-    wall = time.perf_counter() - t0
-    d = geom.to_dict()
+def _geometry(cfg):
+    d = covering_geometry(_curve_from(cfg), float(cfg["u_abs"]), int(cfg["l"]),
+                          int(cfg["k"]), int(cfg["tau"])).to_dict()
     rows = list(zip(d["m_indices"], d["J_lengths"], d["sigma_values"]))
-    return _finish(cfg, "geometry", d, wall,
-                   csv_spec=(("m", "J_length", "sigma"), rows))
+    return d, (("m", "J_length", "sigma"), rows), [], {}
 
 
-def cmd_dominate(args) -> int:
-    cfg = _merged(args, {
-        "curve": {"family": "power", "alpha": 2.0},
-        "u": "const:1",
-        "family": {"generator": "gaussians", "count": 2, "seed": 23,
-                   "grid": [[-12.0, 12.0, 97], [-20.0, 20.0, 267]]},
-        "k_list": [0, 1],
-        "l": 0,
-        "tau_hi": 2,
-        "m_cap": 16,
-        "strict": False,
-    })
-    curve = _curve_from(cfg)
-    fam = _family_from(cfg)
-    u = _modulation_from(cfg["u"])
+def _dominate(cfg):
+    curve, fam, u = _curve_from(cfg), _family_from(cfg), _modulation_from(cfg["u"])
     tau_hi = int(cfg["tau_hi"])
     if tau_hi < 0:
         raise ConfigError("tau_hi must be nonnegative")
-    t0 = time.perf_counter()
     rep = domination_experiment(curve, u, fam, [int(k) for k in cfg["k_list"]],
                                 int(cfg["l"]), range(-tau_hi, tau_hi + 1),
-                                m_cap=int(cfg["m_cap"]),
-                                strict=bool(cfg.get("strict", False)))
-    wall = time.perf_counter() - t0
-    rows = [(r["member"], r["k"], r["ratio"]) for r in rep.per_sample]
-    failures = []
-    if not rep.verdicts["zero_unbounded_points"]:
-        failures.append("pointwise domination broke: unbounded ratio recorded")
-    return _finish(cfg, "dominate", rep.to_dict(), wall,
-                   csv_spec=(("member", "k", "ratio"), rows), failures=failures)
+                                m_cap=int(cfg["m_cap"]), strict=bool(cfg["strict"]))
+    failures = [] if rep.verdicts["zero_unbounded_points"] else [
+        "pointwise domination broke: unbounded ratio recorded"]
+    return rep.to_dict(), _columns(rep.per_sample, ("member", "k", "ratio")), failures, {}
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the runner and the command table
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its fields")
-    sp.add_argument("--out", help="output directory for report, CSV, and manifest")
-    sp.add_argument("--seed", type=int, help="run seed, recorded in every output")
-    sp.add_argument("--fixtures", help="thresholds fixture path "
-                    "(CURVEFLOW_FIXTURES overrides)")
+def _run(name: str, run, defaults: dict, args) -> int:
+    """Merge the config, time run(cfg), print the report, write the artifacts."""
+    cfg = _merged(args, defaults)
+    t0 = time.perf_counter()
+    report, csv_spec, failures, extra = run(cfg)
+    wall = time.perf_counter() - t0
+    report.setdefault("seed", cfg.get("seed"))
+    if cfg.get("out") is not None:
+        out = pathlib.Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        artifacts = [f"{name}.json"]
+        (out / artifacts[0]).write_text(_dumps(report, indent=2) + "\n")
+        if csv_spec is not None:
+            artifacts.append(f"{name}.csv")
+            with (out / artifacts[-1]).open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(csv_spec[0])
+                w.writerows(csv_spec[1])
+        for fname, g in extra.items():
+            write_grid_function(str(out / fname), g)
+            artifacts.append(fname)
+        manifest = {
+            "tool": "curveflow",
+            "version": __version__,
+            "subcommand": name,
+            "seed": cfg.get("seed"),
+            "fixtures": str(_fixtures_path(cfg)),
+            "config": cfg,
+            "config_hash": hashlib.sha256(_dumps(cfg).encode()).hexdigest()[:16],
+            "wall_time_s": wall,
+            "artifacts": artifacts,
+        }
+        (out / "manifest.json").write_text(_dumps(manifest, indent=2) + "\n")
+    print(_dumps(report))
+    for inv in failures:
+        print(f"FAIL {inv}")
+    return 1 if failures else 0
 
 
-def _add_curve_flags(sp) -> None:
-    sp.add_argument("--curve", dest="curve", help="curve family name")
-    sp.add_argument("--alpha", type=float, help="family parameter where required")
+_COMMON = (
+    ("--config", dict(help="JSON config file; flags override its fields")),
+    ("--out", dict(help="output directory for report, CSV, and manifest")),
+    ("--seed", dict(type=int, help="run seed, recorded in every output")),
+    ("--fixtures", dict(help="thresholds fixture path (CURVEFLOW_FIXTURES overrides)")),
+)
+_CURVE = (
+    ("--curve", dict(help="curve family name")),
+    ("--alpha", dict(type=float, help="family parameter where required")),
+)
+_TRANSFORM = (
+    ("--u", dict(help="modulation: const:V, poly:c0,c1..., steps:FILE, grid:FILE")),
+    ("--eps", dict(type=float, help="principal-value cutoff")),
+    ("--radius", dict(type=float, help="outer truncation radius")),
+    ("--substep", dict(type=float, help="quadrature substep")),
+    ("--no-strict", dict(action="store_false", dest="strict", default=None,
+                         help="skip the grid-coverage precondition")),
+)
+_PARABOLA = {"family": "power", "alpha": 2.0}
+
+# name, handler, help (None: a config-driven experiment), defaults (below
+# the config file and the flags), flags beyond the common four
+_COMMANDS = (
+    ("check-curve", _check_curve, "verify the four curve conditions", {}, _CURVE),
+    ("bump-check", _bump_check, "partition-of-unity deviation",
+     {"lo": 2.0**-8, "hi": 2.0**8, "points": 50001, "tol": 1e-10},
+     tuple((flag, dict(type=t)) for flag, t in
+           (("--lo", float), ("--hi", float), ("--points", int), ("--tol", float)))),
+    ("transform", _transform, "apply the 2D modulated transform",
+     {"u": "const:1", "strict": True},
+     _CURVE + (("--f", dict(help="grid-function file")),) + _TRANSFORM),
+    ("carleson", _carleson, "apply the 1D modulated transform",
+     {"u": "const:0", "strict": True},
+     _CURVE + (("--f", dict(help="grid-function file or inline indicator:a:b / gauss:c:w")),)
+     + _TRANSFORM + (
+         ("--at", dict(type=float, help="print the value at x")),
+         ("--span", dict(type=float, help="inline grid half-width")),
+         ("--step", dict(type=float, help="inline grid step")),
+     )),
+    ("kernel-decay", _kernel_decay, "kernel modulus vs decay shape",
+     {"k_range": "2:6", "s": "0.5,2.0", "u_x": 1.0, "u_z": 1.0,
+      "n_x": 0, "n_z": 0, "r1": 1.0 / 8.0, "r2": 7.0 / 16.0},
+     _CURVE + (
+         ("--k-range", dict(help="lo:hi or comma list")),
+         ("--s", dict(help="comma list of rescaled frequencies, |s| <= 4")),
+         ("--u-x", dict(type=float)),
+         ("--u-z", dict(type=float)),
+         ("--n-x", dict(type=int)),
+         ("--n-z", dict(type=int)),
+         ("--r1", dict(type=float, help="near-zero decay rate")),
+         ("--r2", dict(type=float, help="annulus decay rate")),
+     )),
+    ("lemma-check", _lemma_check, "randomized inequality checkers",
+     {"seed": 0, "draws": 200},
+     _CURVE + (("--draws", dict(type=int, help="draws per checker")),)),
+    ("norm-sweep", _norm_sweep, None, {
+        "curve": _PARABOLA, "modulations": ["const:0.5", "const:4.0"], "p": 2.0, "strict": False,
+        "family": {"generator": "gaussians", "count": 2, "seed": 11, "grid": [-8.0, 8.0, 401]},
+    }, ()),
+    ("sk-decay", _sk_decay, None, {
+        "curve": _PARABOLA, "u": "const:1", "k_max": 5, "strict": False,
+        "family": {"generator": "modulated_gaussians", "count": 2, "seed": 21,
+                   "grid": [-600.0, 600.0, 60001]},
+    }, ()),
+    ("annulus", _annulus, None, {
+        "curve": _PARABOLA, "u": "const:1", "levels": [-1, 0, 1], "p": 2.0, "strict": False,
+        "family": {"generator": "gaussians", "count": 2, "seed": 19,
+                   "grid": [[-10.0, 10.0, 161], [-30.0, 30.0, 401]]},
+    }, ()),
+    ("square-fn", _square_fn, None, {
+        "curve": _PARABOLA, "u": "const:0.9", "levels": [-1, 0, 1], "p": 2.0, "strict": False,
+        "family": {"generator": "gaussians", "count": 1, "seed": 19,
+                   "grid": [[-10.0, 10.0, 161], [-30.0, 30.0, 401]]},
+    }, ()),
+    ("shift-growth", _shift_growth, None, {
+        "sigmas": [0.0, 4.0, 16.0, 64.0], "p": 2.0, "b_max": "fixtures:shift_growth_b_max",
+        "family": {"generator": "indicators", "count": 4, "seed": 3, "grid": [-8.0, 8.0, 4097]},
+    }, ()),
+    ("dominate", _dominate, None, {
+        "curve": _PARABOLA, "u": "const:1", "k_list": [0, 1], "l": 0, "tau_hi": 2, "m_cap": 16,
+        "strict": False,
+        "family": {"generator": "gaussians", "count": 2, "seed": 23,
+                   "grid": [[-12.0, 12.0, 97], [-20.0, 20.0, 267]]},
+    }, ()),
+    ("geometry", _geometry, "annulus covering at one (u, l, k, tau)",
+     {"u_abs": 1.0, "l": 0, "k": 0, "tau": 0},
+     _CURVE + (
+         ("--u-abs", dict(type=float, help="|u|, positive")),
+         ("--l", dict(type=int)),
+         ("--k", dict(type=int)),
+         ("--tau", dict(type=int)),
+     )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,76 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check-curve", help="verify the four curve conditions")
-    _add_common(sp)
-    _add_curve_flags(sp)
-    sp.set_defaults(func=cmd_check_curve)
-
-    sp = sub.add_parser("bump-check", help="partition-of-unity deviation")
-    _add_common(sp)
-    sp.add_argument("--lo", type=float)
-    sp.add_argument("--hi", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.set_defaults(func=cmd_bump_check)
-
-    for name, fn, is2d in (("transform", cmd_transform, True),
-                           ("carleson", cmd_carleson, False)):
-        sp = sub.add_parser(name, help=f"apply the {'2D' if is2d else '1D'} "
-                            "modulated transform")
-        _add_common(sp)
-        _add_curve_flags(sp)
-        sp.add_argument("--f", help="grid-function file" +
-                        ("" if is2d else " or inline indicator:a:b / gauss:c:w"))
-        sp.add_argument("--u", help="modulation: const:V, poly:c0,c1..., "
-                        "steps:FILE, grid:FILE")
-        sp.add_argument("--eps", type=float, help="principal-value cutoff")
-        sp.add_argument("--radius", type=float, help="outer truncation radius")
-        sp.add_argument("--substep", type=float, help="quadrature substep")
-        sp.add_argument("--no-strict", action="store_true", dest="no_strict",
-                        help="skip the grid-coverage precondition")
-        if not is2d:
-            sp.add_argument("--at", type=float, help="print the value at x")
-            sp.add_argument("--span", type=float, help="inline grid half-width")
-            sp.add_argument("--step", type=float, help="inline grid step")
-        sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("kernel-decay", help="kernel modulus vs decay shape")
-    _add_common(sp)
-    _add_curve_flags(sp)
-    sp.add_argument("--k-range", dest="k_range", help="lo:hi or comma list")
-    sp.add_argument("--s", help="comma list of rescaled frequencies, |s| <= 4")
-    sp.add_argument("--u-x", dest="u_x", type=float)
-    sp.add_argument("--u-z", dest="u_z", type=float)
-    sp.add_argument("--n-x", dest="n_x", type=int)
-    sp.add_argument("--n-z", dest="n_z", type=int)
-    sp.add_argument("--r1", type=float, help="near-zero decay rate")
-    sp.add_argument("--r2", type=float, help="annulus decay rate")
-    sp.set_defaults(func=cmd_kernel_decay)
-
-    sp = sub.add_parser("lemma-check", help="randomized inequality checkers")
-    _add_common(sp)
-    _add_curve_flags(sp)
-    sp.add_argument("--draws", type=int, help="draws per checker")
-    sp.set_defaults(func=cmd_lemma_check)
-
-    for name, fn in (("norm-sweep", cmd_norm_sweep), ("sk-decay", cmd_sk_decay),
-                     ("annulus", cmd_annulus), ("square-fn", cmd_square_fn),
-                     ("shift-growth", cmd_shift_growth), ("dominate", cmd_dominate)):
-        sp = sub.add_parser(name, help=f"{name} experiment (config-driven)")
-        _add_common(sp)
-        sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("geometry", help="annulus covering at one (u, l, k, tau)")
-    _add_common(sp)
-    _add_curve_flags(sp)
-    sp.add_argument("--u-abs", dest="u_abs", type=float, help="|u|, positive")
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--tau", type=int)
-    sp.set_defaults(func=cmd_geometry)
-
+    for name, run, help_text, defaults, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text or f"{name} experiment (config-driven)")
+        for flag, kw in _COMMON + flags:
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(func=functools.partial(_run, name, run, defaults))
     return parser
 
 
@@ -829,19 +697,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except GeometryError as e:
         print(f"FAIL covering geometry: {e}")
         return 1
     except HypothesisError as e:
         print(f"FAIL hypothesis: {e}")
         return 1
-    except (CoverageError, NonFiniteError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, CoverageError, NonFiniteError) as e:
+        # ConfigError is a ValueError
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ File formats:
     A file cut short, or with bytes past the promised payload, is refused.
 
 Both readers refuse NaN or inf samples with a NonFiniteError, as every
-operator does.
+operator and every ModulationField constructor does.
 """
 
 from __future__ import annotations
@@ -183,6 +183,7 @@ class ModulationField:
 
     @staticmethod
     def constant(value: float) -> "ModulationField":
+        _require_finite(np.float64(value), "constant modulation")
         return ModulationField(kind="constant", const=float(value))
 
     @staticmethod
@@ -191,6 +192,7 @@ class ModulationField:
         v = np.asarray(levels, dtype=float)
         if b.ndim != 1 or v.ndim != 1 or v.size != b.size + 1:
             raise ValueError("piecewise needs len(levels) == len(breakpoints) + 1")
+        _require_finite(np.concatenate([b, v]), "piecewise modulation")
         if b.size and not np.all(np.diff(b) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         return ModulationField(kind="piecewise", breakpoints=b, levels=v)
@@ -200,10 +202,12 @@ class ModulationField:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("polynomial needs a non-empty coefficient vector")
+        _require_finite(c, "polynomial modulation")
         return ModulationField(kind="polynomial", coeffs=c)
 
     @staticmethod
     def from_grid(gf: GridFunction1D) -> "ModulationField":
+        _require_finite(gf.values, "modulation grid")
         return ModulationField(kind="grid", grid=gf)
 
     def eval(self, x) -> np.ndarray:

@@ -265,14 +265,27 @@ def _convolve(values: np.ndarray, kernel: np.ndarray, reach: Tuple[int, ...]) ->
     return full[tuple(slice(r, r + n) for r, n in zip(reach, values.shape))]
 
 
+def _silence(values: np.ndarray, outs: List[np.ndarray], reach) -> None:
+    """Set exact zero in outs wherever the read window carries no mass.
+
+    reach is the window half-width in cells per axis.  The FFT smears
+    rounding noise everywhere, but a point whose translates only ever read
+    zeros must come out zero.
+    """
+    if any(reach):
+        act = (np.abs(values) > 0.0).astype(np.uint8)
+        for axis, r in enumerate(reach):
+            act = maximum_filter1d(act, size=2 * r + 1, mode="constant", cval=0, axis=axis)
+        for out in outs:
+            out[act == 0] = 0.0
+
+
 def _apply_groups(values: np.ndarray, groups, build, channels: int = 1) -> List[np.ndarray]:
     """Per constant-u group, convolve with its kernels and keep its rows.
 
     build(v) returns (kernels, reach), one kernel per output channel, or
-    None for a group that is zero.  Afterwards every point whose whole read
-    window (the largest reach + 1 on each axis) carries no mass is set to
-    exact zero: the FFT smears rounding noise everywhere, but a point whose
-    translates only ever read zeros must come out zero.
+    None for a group that is zero.  Afterwards the outputs are silenced
+    with the largest reach + 1 on each axis.
     """
     outs = [np.zeros(values.shape, dtype=np.complex128) for _ in range(channels)]
     reach = [0] * values.ndim
@@ -284,12 +297,7 @@ def _apply_groups(values: np.ndarray, groups, build, channels: int = 1) -> List[
         for out, kernel in zip(outs, kernels):
             out[rows] = _convolve(values, kernel, r)[rows]
         reach = [max(a, m + 1) for a, m in zip(reach, r)]
-    if any(reach):
-        act = (np.abs(values) > 0.0).astype(np.uint8)
-        for axis, r in enumerate(reach):
-            act = maximum_filter1d(act, size=2 * r + 1, mode="constant", cval=0, axis=axis)
-        for out in outs:
-            out[act == 0] = 0.0
+    _silence(values, outs, reach)
     return outs
 
 
@@ -364,7 +372,7 @@ def maximal_truncated_hilbert(
     _require_finite(f.values, "maximal_truncated_hilbert input")
     _check_coverage_1d(f, cfg.radius, strict)
     shells: List[np.ndarray] = []
-    a = cfg.epsilon
+    a, M = cfg.epsilon, -1  # the last (widest) shell sets the silence reach
     while a < cfg.radius:
         b = min(2.0 * a, cfg.radius)
         plans, _ = _octave_plans(a, b, cfg.substep)
@@ -379,6 +387,7 @@ def maximal_truncated_hilbert(
     for bidx in range(1, len(shells) + 1):
         for aidx in range(bidx):
             np.maximum(best, np.abs(cum[bidx] - cum[aidx]), out=best)
+    _silence(f.values, [best], (M + 1,))
     return f.with_values(best.astype(np.complex128))
 
 

@@ -11,7 +11,7 @@ import pytest
 from curveflow import __version__
 from curveflow import cli
 from curveflow.fixtures import load_fixtures
-from curveflow.gridfn import GridFunction1D, write_grid_function
+from curveflow.gridfn import GridFunction1D, GridFunction2D, write_grid_function
 
 
 def run_cli(capsys, *argv):
@@ -216,3 +216,46 @@ def test_module_entry_point_version():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def test_lemma_check_missing_frozen_gate_exits_2(tmp_path, capsys, monkeypatch):
+    fx = tmp_path / "fx.json"
+    fx.write_text(json.dumps({"shift_growth_b_max": 2.0}))
+    monkeypatch.setenv("CURVEFLOW_FIXTURES", str(fx))
+    code, _, err = run_cli(capsys, "lemma-check", "--draws", "2")
+    assert code == 2
+    assert "interval_count_max" in err
+
+
+def test_non_finite_modulation_exits_2(capsys):
+    code, _, err = run_cli(capsys, "carleson", "--f", "indicator:-1:1", "--u", "const:nan")
+    assert code == 2
+    assert "NaN or inf" in err
+
+
+# every subcommand at its defaults; the two transforms need an input and
+# are the two that take --no-strict
+ALL_SUBCOMMANDS = {
+    "check-curve": [], "bump-check": [], "kernel-decay": [], "lemma-check": [],
+    "norm-sweep": [], "sk-decay": [], "annulus": [], "square-fn": [],
+    "shift-growth": [], "geometry": [], "dominate": [],
+    "transform": ["--f", "f2d.csv", "--no-strict"],
+    "carleson": ["--f", "indicator:-1:1", "--no-strict"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SUBCOMMANDS))
+def test_every_subcommand_runs_end_to_end(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    x = -1.0 + 0.25 * np.arange(9)
+    vals = np.exp(-10.0 * (x[:, None] ** 2 + x[None, :] ** 2))
+    write_grid_function("f2d.csv", GridFunction2D(-1.0, 0.25, -1.0, 0.25, vals))
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(capsys, name, *ALL_SUBCOMMANDS[name], "--out", str(out))
+    assert code == 0
+    assert isinstance(last_json(stdout), dict)
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man["artifacts"]) | {"manifest.json"} == {p.name for p in out.iterdir()}
+    assert "no_strict" not in man["config"]
+    if "--no-strict" in ALL_SUBCOMMANDS[name]:
+        assert man["config"]["strict"] is False

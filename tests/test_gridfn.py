@@ -163,6 +163,18 @@ def test_modulation_piecewise():
         ModulationField.piecewise([0.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: ModulationField.constant(bad),
+    lambda bad: ModulationField.piecewise([0.0], [1.0, bad]),
+    lambda bad: ModulationField.polynomial([1.0, bad]),
+    lambda bad: ModulationField.from_grid(GridFunction1D(0.0, 1.0, np.array([2.0, bad, 6.0]))),
+], ids=["constant", "piecewise", "polynomial", "from_grid"])
+def test_modulation_refuses_non_finite(build, bad):
+    with pytest.raises(NonFiniteError, match="NaN or inf"):
+        build(bad)
+
+
 def test_modulation_from_grid_clamps_edges():
     g = GridFunction1D(0.0, 1.0, np.array([2.0, 4.0, 6.0]))
     u = ModulationField.from_grid(g)
