@@ -118,12 +118,19 @@ def _load_config(path: Optional[str]) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     if jsonschema is not None:
-        schema = json.loads((_DATA_DIR / "config_schema.json").read_text())
-        try:
-            jsonschema.validate(cfg, schema)
-        except jsonschema.ValidationError as e:
+        # the error jsonschema.validate would raise
+        e = jsonschema.exceptions.best_match(_schema_validator().iter_errors(cfg))
+        if e is not None:
             raise ConfigError(f"config rejected by schema: {e.message}") from e
     return cfg
+
+
+@functools.lru_cache(maxsize=None)
+def _schema_validator():
+    schema = json.loads((_DATA_DIR / "config_schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _merged(args, defaults: dict) -> dict:
@@ -570,7 +577,10 @@ def _run(name: str, run, defaults: dict, args) -> int:
             "seed": cfg.get("seed"),
             "fixtures": str(_fixtures_path(cfg)),
             "config": cfg,
-            "config_hash": hashlib.sha256(_dumps(cfg).encode()).hexdigest()[:16],
+            # where the run is written is not part of what it computes
+            "config_hash": hashlib.sha256(
+                _dumps({k: v for k, v in cfg.items() if k != "out"}).encode()
+            ).hexdigest()[:16],
             "wall_time_s": wall,
             "artifacts": artifacts,
         }

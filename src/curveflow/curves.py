@@ -132,7 +132,6 @@ class Curve:
     parity: str  # 'odd' or 'even'
     alpha: Optional[float]
     derivs: tuple = field(repr=False)  # order k -> callable on t > 0 arrays
-    has_order3: bool = True
 
     def deriv(self, t, order: int, check: bool = True):
         """Evaluate the order-th derivative at t (scalar or array).
@@ -295,16 +294,11 @@ def eval_curve(curve: Curve, t, order: int = 0):
 
 
 def _ratio_derivative(curve: Curve, t: np.ndarray) -> np.ndarray:
-    """(gamma''/gamma')'(t), closed form when order 3 exists, else central diff."""
+    """(gamma''/gamma')'(t) in closed form."""
     g1 = curve.deriv(t, 1)
     g2 = curve.deriv(t, 2)
-    if curve.has_order3:
-        g3 = curve.deriv(t, 3)
-        return g3 / g1 - (g2 / g1) ** 2
-    h = t * 1e-5
-    qp = curve.deriv(t + h, 2) / curve.deriv(t + h, 1)
-    qm = curve.deriv(t - h, 2) / curve.deriv(t - h, 1)
-    return (qp - qm) / (2.0 * h)
+    g3 = curve.deriv(t, 3)
+    return g3 / g1 - (g2 / g1) ** 2
 
 
 def check_conditions(curve: Curve, grid: Optional[LogGrid] = None) -> CurveReport:
@@ -364,11 +358,7 @@ def check_conditions(curve: Curve, grid: Optional[LogGrid] = None) -> CurveRepor
         verdict_iii = ConditionVerdict(True, None, f"inf {c3:.12g}")
 
     # (iv): gamma'''/gamma'' strictly monotone or constant.
-    if curve.has_order3:
-        g3 = curve.deriv(t, 3)
-    else:
-        h = t * 1e-5
-        g3 = (curve.deriv(t + h, 2) - curve.deriv(t - h, 2)) / (2.0 * h)
+    g3 = curve.deriv(t, 3)
     if (g2 == 0.0).any():
         j = int(np.argmax(g2 == 0.0))
         verdict_iv = ConditionVerdict(

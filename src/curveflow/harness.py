@@ -20,12 +20,12 @@ experiment then rebuilds the right-hand side out of those pieces.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 import platform
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _GENERATORS = ("indicators", "gaussians", "modulated_gaussians", "random_bandlimited")
+_LOWEST_RATE = {"modulated_gaussians": 1.0, "random_bandlimited": 0.5}  # wave rate floors
 
 _RATIO_FLOOR = 1e-14  # decay ratios below this are quadrature noise
 _BAND_SKIP = 1e-12  # relative norm under which a projected band counts as empty
@@ -131,10 +132,26 @@ class TestFunctionFamily:
         if self.count < 1:
             raise ValueError("count must be at least 1")
         object.__setattr__(self, "grid", _canon_grid(self.grid))
+        # waves draw rates from [low, pi/(6 step)], empty on a coarser axis;
+        # modulated gaussians oscillate on the last axis only
+        low = _LOWEST_RATE.get(self.generator, 0.0)
+        axes = self._axes()
+        for i, (_, _, _, step) in enumerate(axes):
+            waves = self.generator == "random_bandlimited" or i == len(axes) - 1
+            if waves and _resolvable_rate(step) < low:
+                raise ValueError(
+                    f"{self.generator} needs step <= pi/{6.0 * low:g} = "
+                    f"{math.pi / (6.0 * low):.6g} on grid axis {i}; its step is {step:.6g}"
+                )
 
     @property
     def is_2d(self) -> bool:
         return isinstance(self.grid[0], tuple)
+
+    def _axes(self) -> List[Tuple[float, float, int, float]]:
+        """(x0, x1, n, step) per axis; a 1D grid is one axis."""
+        return [(x0, x1, n, (x1 - x0) / (n - 1))
+                for x0, x1, n in (self.grid if self.is_2d else (self.grid,))]
 
     def descriptor(self) -> dict:
         return {
@@ -146,43 +163,24 @@ class TestFunctionFamily:
 
     def members(self) -> List[GridFn]:
         rng = np.random.default_rng(self.seed)
-        if self.is_2d:
-            return [self._member_2d(rng) for _ in range(self.count)]
-        return [self._member_1d(rng) for _ in range(self.count)]
+        return [self._member(rng) for _ in range(self.count)]
 
-    def _member_1d(self, rng) -> GridFunction1D:
-        x0, x1, n = self.grid
-        step = (x1 - x0) / (n - 1)
-        xs = x0 + step * np.arange(n)
-        vals = _draw_profile(rng, self.generator, xs, x0, x1, step)
-        return GridFunction1D(x0, step, vals)
-
-    def _member_2d(self, rng) -> GridFunction2D:
-        (x0, x1, n1), (y0, y1, n2) = self.grid
-        h1 = (x1 - x0) / (n1 - 1)
-        h2 = (y1 - y0) / (n2 - 1)
-        xs = x0 + h1 * np.arange(n1)
-        ys = y0 + h2 * np.arange(n2)
+    def _member(self, rng) -> GridFn:
+        axes = self._axes()
+        coords = [x0 + h * np.arange(n) for x0, _, n, h in axes]
         if self.generator == "random_bandlimited":
-            env = np.outer(
-                _gauss(xs, 0.5 * (x0 + x1), 0.3 * min(x1 - x0, 20.0)),
-                _gauss(ys, 0.5 * (y0 + y1), 0.3 * min(y1 - y0, 20.0)),
-            )
-            acc = np.zeros((n1, n2))
-            om_max1 = _resolvable_rate(h1)
-            om_max2 = _resolvable_rate(h2)
-            for _ in range(4):
-                amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
-                w1 = rng.uniform(0.5, om_max1)
-                w2 = rng.uniform(0.5, om_max2)
-                ph = rng.uniform(0.0, 2.0 * np.pi)
-                acc += amp * np.cos(w1 * xs[:, None] + w2 * ys[None, :] + ph)
-            vals = env * acc
+            vals = _bandlimited(rng, axes, coords)
         else:
-            a1 = _draw_profile(rng, _axis_generator(self.generator, 0), xs, x0, x1, h1)
-            a2 = _draw_profile(rng, _axis_generator(self.generator, 1), ys, y0, y1, h2)
-            vals = np.outer(a1, a2)
-        return GridFunction2D(x0, h1, y0, h2, vals)
+            # a product of per-axis profiles drawn in axis order; the
+            # oscillation lives on the last axis, where the band projections act
+            gen = self.generator
+            inner = "gaussians" if gen == "modulated_gaussians" else gen
+            vals = functools.reduce(np.multiply.outer, [
+                _draw_profile(rng, gen if i == len(axes) - 1 else inner, xs, axis)
+                for i, (xs, axis) in enumerate(zip(coords, axes))
+            ])
+        cls = GridFunction2D if self.is_2d else GridFunction1D
+        return cls(*[v for x0, _, _, h in axes for v in (x0, h)], vals)
 
 
 def _canon_grid(grid) -> tuple:
@@ -199,14 +197,6 @@ def _canon_grid(grid) -> tuple:
     raise ValueError("grid must be (x0, x1, n) or ((x0,x1,n1), (y0,y1,n2))")
 
 
-def _axis_generator(generator: str, axis: int) -> str:
-    # 2D members are products; the oscillation lives in the second variable,
-    # where the band projections act
-    if generator == "modulated_gaussians" and axis == 0:
-        return "gaussians"
-    return generator
-
-
 def _gauss(xs, c, w):
     return np.exp(-(((xs - c) / w) ** 2))
 
@@ -215,34 +205,40 @@ def _resolvable_rate(step: float) -> float:
     return float(min(32.0, np.pi / (6.0 * step)))
 
 
-def _draw_profile(rng, generator, xs, x0, x1, step) -> np.ndarray:
+def _draw_profile(rng, generator, xs, axis) -> np.ndarray:
     # profiles live near the grid center at O(1) scale (capped at 20 length
     # units) so that wide grids leave room for large operator translates
-    span = x1 - x0
-    body = min(span, 20.0)
+    x0, x1, _, step = axis
+    body = min(x1 - x0, 20.0)
     mid = 0.5 * (x0 + x1)
     if generator == "indicators":
         width = max(rng.uniform(0.05, 0.3) * body, 5.0 * step)
         a = mid + rng.uniform(-0.4, 0.4) * body - 0.5 * width
         return ((xs >= a) & (xs <= a + width)).astype(float)
+    c = mid + rng.uniform(-0.08, 0.08) * body
+    w = rng.uniform(0.05, 0.15) * body
     if generator == "gaussians":
-        c = mid + rng.uniform(-0.08, 0.08) * body
-        w = rng.uniform(0.05, 0.15) * body
         return _gauss(xs, c, w)
-    if generator == "modulated_gaussians":
-        c = mid + rng.uniform(-0.08, 0.08) * body
-        w = rng.uniform(0.05, 0.15) * body
-        om = rng.uniform(1.0, _resolvable_rate(step))
-        ph = rng.uniform(0.0, 2.0 * np.pi)
-        return _gauss(xs, c, w) * np.cos(om * xs + ph)
-    # random_bandlimited
-    env = _gauss(xs, mid, 0.3 * body)
-    acc = np.zeros_like(xs)
+    # modulated_gaussians
+    om = rng.uniform(_LOWEST_RATE[generator], _resolvable_rate(step))
+    ph = rng.uniform(0.0, 2.0 * np.pi)
+    return _gauss(xs, c, w) * np.cos(om * xs + ph)
+
+
+def _bandlimited(rng, axes, coords) -> np.ndarray:
+    # a product envelope times four plane waves; each wave draws its
+    # amplitude, then one rate per axis, then its phase
+    env = functools.reduce(np.multiply.outer, [
+        _gauss(xs, 0.5 * (x0 + x1), 0.3 * min(x1 - x0, 20.0))
+        for xs, (x0, x1, _, _) in zip(coords, axes)
+    ])
+    low = _LOWEST_RATE["random_bandlimited"]
+    acc = np.zeros(env.shape)
     for _ in range(4):
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
-        om = rng.uniform(0.5, _resolvable_rate(step))
+        rates = [rng.uniform(low, _resolvable_rate(axis[3])) for axis in axes]
         ph = rng.uniform(0.0, 2.0 * np.pi)
-        acc += amp * np.cos(om * xs + ph)
+        acc += amp * np.cos(sum(w * x for w, x in zip(rates, np.ix_(*coords))) + ph)
     return env * acc
 
 
@@ -319,25 +315,34 @@ def sweep_modulations(
         norm, skipped = _family_norm(op_builder(u), members, p)
         rows.append({"u_index": j, "norm": norm, "skipped": skipped})
     norms = [r["norm"] for r in rows]
+    dispersion, verdicts = _dispersion(norms, threshold)
+    return ExperimentReport(
+        experiment="sweep_modulations",
+        parameters={"p": p, "u_count": len(u_family), "family": family.descriptor()},
+        per_sample=rows,
+        aggregate={"norms": norms, "dispersion": dispersion},
+        verdicts=verdicts,
+    )
+
+
+def _dispersion(norms: Sequence[float], threshold: Optional[float]) -> Tuple[float, dict]:
+    """max/min across a sweep (1 when every norm is 0) and its threshold verdict."""
     low, high = min(norms), max(norms)
     if low == 0.0:
         dispersion = 1.0 if high == 0.0 else math.inf
     else:
         dispersion = high / low
-    aggregate = {"norms": norms, "dispersion": dispersion}
-    verdicts = {}
-    if threshold is not None:
-        verdicts = {
-            "threshold": threshold,
-            "dispersion_within_threshold": bool(dispersion <= threshold),
-        }
-    return ExperimentReport(
-        experiment="sweep_modulations",
-        parameters={"p": p, "u_count": len(u_family), "family": family.descriptor()},
-        per_sample=rows,
-        aggregate=aggregate,
-        verdicts=verdicts,
-    )
+    verdicts = {} if threshold is None else {
+        "threshold": threshold,
+        "dispersion_within_threshold": bool(dispersion <= threshold),
+    }
+    return dispersion, verdicts
+
+
+def _stability(values: Iterable[float]) -> float:
+    """max/min over the finite positive values; 1 when fewer than two remain."""
+    kept = [v for v in values if 0.0 < v < math.inf]
+    return max(kept) / min(kept) if len(kept) >= 2 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +391,16 @@ def fit_decay(k_values: Sequence[int], ratios: Sequence[float]) -> DecayFit:
     if k.size < 2:
         raise ValueError("need at least two resolvable ratios to fit a slope")
     y = np.log2(r)
-    a = np.stack([k, np.ones_like(k)], axis=1)
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = float(np.linalg.norm(a @ sol - y))
     return DecayFit(
-        tuple(int(v) for v in k),
-        tuple(float(v) for v in y),
-        float(sol[0]),
-        float(sol[1]),
-        resid,
-        note,
+        tuple(int(v) for v in k), tuple(float(v) for v in y), *_line_fit(k, y), note
     )
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares y ~ slope*x + intercept: (slope, intercept, residual)."""
+    a = np.stack([x, np.ones_like(x)], axis=1)
+    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
+    return float(sol[0]), float(sol[1]), float(np.linalg.norm(a @ sol - y))
 
 
 def decay_experiment(
@@ -474,18 +478,11 @@ def single_annulus_experiment(
             per_l[l] = best
     if not per_l:
         raise ValueError("every (l, member) pair was skipped")
-    norms = list(per_l.values())
-    dispersion = max(norms) / min(norms) if min(norms) > 0 else math.inf
+    dispersion, verdicts = _dispersion(list(per_l.values()), threshold)
     aggregate = {
         "norms_by_l": {str(l): v for l, v in sorted(per_l.items())},
         "dispersion": dispersion,
     }
-    verdicts = {}
-    if threshold is not None:
-        verdicts = {
-            "threshold": threshold,
-            "dispersion_within_threshold": bool(dispersion <= threshold),
-        }
     return ExperimentReport(
         experiment="single_annulus",
         parameters={"p": p, "l_range": ls, "family": family.descriptor()},
@@ -554,12 +551,7 @@ def shifted_growth_probe(
     norms = np.array([r["norm"] for r in rows])
     if np.any(norms <= 0):
         raise ValueError("zero operator norm in the ladder; cannot fit growth")
-    x = np.log(np.log(2.0 + np.array(sigmas)))
-    y = np.log(norms)
-    a = np.stack([x, np.ones_like(x)], axis=1)
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    b_fit = float(sol[0])
-    log_a = float(sol[1])
+    b_fit, log_a, _ = _line_fit(np.log(np.log(2.0 + np.array(sigmas))), np.log(norms))
     # norm(sigma)/norm(0) - 1 <= fitted * log^2(2+sigma): per-sigma constants
     base = norms[0]
     growth = []
@@ -567,17 +559,12 @@ def shifted_growth_probe(
         if s == 0.0:
             continue
         growth.append((nv / base - 1.0) / math.log(2.0 + s) ** 2)
-    positive = [g for g in growth if g > 0]
-    if len(positive) >= 2:
-        stability = max(positive) / min(positive)
-    else:
-        stability = 1.0
     aggregate = {
         "norms": [float(v) for v in norms],
         "fitted_b": b_fit,
         "fitted_log_a": log_a,
         "growth_constants": growth,
-        "growth_stability": stability,
+        "growth_stability": _stability(growth),
     }
     return ExperimentReport(
         experiment="shifted_growth",
@@ -592,7 +579,7 @@ def shifted_growth_probe(
 # covering geometry
 
 
-@lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)
 def _verified_constants(curve: Curve):
     report = check_conditions(curve, LogGrid())
     if not report.all_pass:
@@ -738,8 +725,8 @@ def domination_experiment(
     """Pointwise check of the annulus piece against covering-built averages.
 
     The right side is assembled exactly as the covering argument dictates:
-    (1+|tau|)^-4 weights, the 1/N_k average over pieces (estimated on an
-    endpoints-inclusive subsample of at most m_cap pieces), piece averages of
+    (1+|tau|)^-4 weights, the 1/N_k average over pieces (estimated on the
+    at most m_cap pieces covering_geometry stores), piece averages of
     the shifted maximal function in the second variable read at x1 - t, and
     an analytic tail for the dropped |tau| (quartic series remainder times
     the largest computed per-tau average).  The fitted constant is the max
@@ -771,22 +758,11 @@ def domination_experiment(
             for uval, ridx in groups:
                 if uval == 0.0:
                     continue  # the piece operator is zero on these rows
-                geom = covering_geometry(curve, abs(float(uval)), l, k, 0)
-                stored = geom.m_indices
-                if stored.size > m_cap:
-                    pick = np.unique(
-                        np.round(np.linspace(0, stored.size - 1, m_cap)).astype(int)
-                    )
-                    m_sub = stored[pick]
-                else:
-                    m_sub = stored
-                ilen = geom.interval_length
+                geom = covering_geometry(curve, abs(float(uval)), l, k, 0, max_stored=m_cap)
+                m_sub, j_len, ilen = geom.m_indices, geom.J_lengths, geom.interval_length
                 pos = geom.scale / 2.0 + m_sub * ilen
+                # v*gamma(pos) is not stored; sigma needs it for every tau
                 g_pos = np.asarray(curve.deriv(pos, 0, check=False), dtype=float)
-                g_next = np.asarray(
-                    curve.deriv(pos + ilen, 0, check=False), dtype=float
-                )
-                j_len = 1.0 + geom.v * (g_next - g_pos)
                 n_t = max(1, min(3, int(ilen / f.h1)))
                 offs = (np.arange(n_t) + 0.5) / n_t * ilen
                 acc = np.zeros((ridx.size, lhs.shape[1]))
@@ -830,16 +806,11 @@ def domination_experiment(
     per_k: Dict[int, float] = {}
     for r in rows:
         per_k[r["k"]] = max(per_k.get(r["k"], 0.0), r["ratio"])
-    finite = [v for v in per_k.values() if 0.0 < v < math.inf]
-    if len(finite) >= 2:
-        stability = max(finite) / min(finite)
-    else:
-        stability = 1.0
     fitted = max((r["ratio"] for r in rows), default=0.0)
     aggregate = {
         "fitted_constant": fitted,
         "per_k_max": {str(k): v for k, v in sorted(per_k.items())},
-        "stability": stability,
+        "stability": _stability(per_k.values()),
         "tau_tail": tail,
     }
     verdicts = {"zero_unbounded_points": violations == 0}

@@ -124,7 +124,6 @@ def _octave_plans(
     radius: float,
     substep: float,
     rate_fn: Optional[Callable[[float, float], float]] = None,
-    cap: int = MAX_KERNEL_NODES,
 ) -> Tuple[List[Tuple[float, float, int]], bool]:
     """Midpoint-panel counts per octave of [eps, radius]; see module docstring."""
     plans: List[Tuple[float, float, int]] = []
@@ -144,8 +143,8 @@ def _octave_plans(
         total += m
         a = b
     resolved = True
-    if total > cap:
-        scale = cap / float(total)
+    if total > MAX_KERNEL_NODES:
+        scale = MAX_KERNEL_NODES / float(total)
         plans = [(a, b, max(4, int(m * scale))) for a, b, m in plans]
         resolved = False
     return plans, resolved
@@ -446,15 +445,15 @@ def directional_hilbert_apply(
 
 
 def _annulus_plan(
-    scale: float, rate: float, f_step: float, cap: int = MAX_KERNEL_NODES
+    scale: float, rate: float, f_step: float
 ) -> Tuple[List[Tuple[float, float, int]], bool]:
     """Uniform-step plan over the annulus [scale/2, 2*scale]."""
     h = min(f_step, scale / 64.0)
     if rate > 0 and np.isfinite(rate):
         h = min(h, 2.0 * math.pi / (8.0 * rate))
     m = int(math.ceil(1.5 * scale / h))
-    resolved = m <= cap
-    m = min(m, cap)
+    resolved = m <= MAX_KERNEL_NODES
+    m = min(m, MAX_KERNEL_NODES)
     return [(0.5 * scale, 2.0 * scale, m)], resolved
 
 
@@ -695,14 +694,12 @@ def hl_maximal(f: GridFunction1D, family: str = "centered") -> GridFunction1D:
     a = np.abs(f.values)
     n = a.size
     if family == "centered":
-        prefix = np.concatenate(([0.0], np.cumsum(a)))
-        idx = np.arange(n)
+        prefix = _prefix_sums(a[None, :])
         best = a.copy()
         m = 1
         while m < 2 * n:
-            lo = np.clip(idx - m, 0, n)
-            hi = np.clip(idx + m + 1, 0, n)
-            np.maximum(best, (prefix[hi] - prefix[lo]) / (2 * m + 1), out=best)
+            ws = _segment_sums(prefix, -m, 2 * m + 1, n)[:, 0]
+            np.maximum(best, ws / (2 * m + 1), out=best)
             m *= 2
         return f.with_values(best.astype(np.complex128))
     if family == "aligned":

@@ -113,6 +113,17 @@ def test_geometry_infeasible_bracket_fails(capsys):
     assert "FAIL" in out and "no admissible interval count" in out
 
 
+def test_config_hash_ignores_output_directory(tmp_path, capsys):
+    def config_hash(out, *extra):
+        code, _, _ = run_cli(capsys, "geometry", "--out", str(tmp_path / out), *extra)
+        assert code == 0
+        return json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"]
+
+    h1 = config_hash("h1")
+    assert config_hash("h2") == h1
+    assert config_hash("h3", "--k", "1") != h1
+
+
 def test_lemma_check_small_run(capsys):
     code, out, _ = run_cli(capsys, "lemma-check", "--seed", "9", "--draws", "40")
     assert code == 0

@@ -106,6 +106,54 @@ def test_family_every_generator_produces_signal():
             assert lp_norm(m, 2.0) > 1e-8
 
 
+# second member of seed 7 on the grids above: L2 norm and three samples (flat
+# index -> value) at the first, middle and last nonzero entries
+PINNED_MEMBERS = [
+    ("indicators", 1, 1.9685019685029528, {82: 1.0, 144: 1.0, 205: 1.0}),
+    ("indicators", 2, 0.9682458365518543, {4727: 1.0, 5115: 1.0, 5410: 1.0}),
+    ("gaussians", 1, 1.205926978683573,
+     {0: 3.569261765101695e-25, 256: 0.6907681741152571, 512: 6.878447445692419e-18}),
+    ("gaussians", 2, 2.0260628764349815,
+     {0: 3.5595977330142174e-10, 3152: 0.6615751344801059, 6304: 1.3826289056865714e-15}),
+    ("modulated_gaussians", 1, 1.1392683789859497,
+     {0: -8.482326032590288e-06, 256: 0.4099253493463158, 512: 9.437197215006067e-08}),
+    ("modulated_gaussians", 2, 1.240033374255517,
+     {0: -4.0415962641148233e-19, 3152: -0.09749126742244224, 6304: 8.134358144003298e-19}),
+    ("random_bandlimited", 1, 2.3282618229326415,
+     {0: -0.0891554363843676, 256: 2.0329334044171823, 512: 0.01408283636732075}),
+    ("random_bandlimited", 2, 6.487109891237665,
+     {0: -0.004657036949530692, 3152: 0.4998277856436658, 6304: 0.009448630583193108}),
+]
+
+
+@pytest.mark.parametrize("gen,dim,norm,samples", PINNED_MEMBERS)
+def test_family_members_pinned(gen, dim, norm, samples):
+    grid = (-8.0, 8.0, 513) if dim == 1 else ((-6.0, 6.0, 65), (-6.0, 6.0, 97))
+    m = FnFamily(gen, 2, 7, grid).members()[1]
+    assert lp_norm(m, 2.0) == pytest.approx(norm, rel=1e-12, abs=0.0)
+    flat = m.values.ravel()
+    for i, v in samples.items():
+        assert flat[i] == pytest.approx(v, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("gen,grid,axis,limit", [
+    ("modulated_gaussians", (-600.0, 600.0, 801), 0, "pi/6"),
+    ("modulated_gaussians", ((-600.0, 600.0, 801), (-6.0, 6.0, 97)), None, None),
+    ("modulated_gaussians", ((-6.0, 6.0, 97), (-600.0, 600.0, 801)), 1, "pi/6"),
+    ("random_bandlimited", (-30.0, 30.0, 41), 0, "pi/3"),
+    ("random_bandlimited", ((-30.0, 30.0, 41), (-6.0, 6.0, 97)), 0, "pi/3"),
+    ("random_bandlimited", (-30.0, 30.0, 61), None, None),
+])
+def test_family_refuses_unresolvable_grid_at_construction(gen, grid, axis, limit):
+    if axis is None:  # coarse only where the generator does not oscillate
+        assert FnFamily(gen, 1, 0, grid).members()
+        return
+    with pytest.raises(ValueError) as e:
+        FnFamily(gen, 1, 0, grid)
+    msg = str(e.value)
+    assert f"axis {axis}" in msg and limit in msg and "step is 1.5" in msg
+
+
 def test_family_grid_validation():
     with pytest.raises(ValueError):
         FnFamily("gaussians", 2, 1, (-1.0, 1.0, 4))
