@@ -1,9 +1,12 @@
 """Dyadic partition of unity, frequency cutoffs, projections, frequency index.
 
-The bump psi is built from the standard exp(-1/s) smooth step eta:
-eta = 1 on [0,1], 0 on [2,inf), psi(t) = eta(|t|) - eta(2|t|).  Its dilates
-psi_l(t) = psi(2^{-l} t) telescope to 1 for every t != 0.  psi is chosen
-even, which makes several principal-value integrals vanish by parity.
+Both dyadic windows are eta(a|t|) - eta(b|t|), with eta the standard
+exp(-1/s) smooth step (1 on [0,1], 0 on [2,inf)).  The bump psi has
+(a, b) = (1, 2): it lives on 1/2 <= |t| <= 2, is even (so several
+principal-value integrals vanish by parity), and its dilates
+psi_l(t) = psi(2^{-l} t) telescope to 1 for every t != 0.  The cutoff rho
+has (a, b) = (1/2, 4): it lives on 1/4 <= |xi| <= 4 and is 1 on
+1/2 <= |xi| <= 2.
 
 Projections act in the second variable of a 2D grid function as frequency
 multipliers (psi_l for the band projection, rho_l for the plateau cutoff),
@@ -13,8 +16,8 @@ spatial convolution definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,45 +51,29 @@ def smooth_step(s) -> np.ndarray:
     b = _glue(s - 1.0)
     with np.errstate(invalid="ignore"):
         mid = a / (a + b)
-    out = np.where(s <= 1.0, 1.0, np.where(s >= 2.0, 0.0, mid))
-    return out
+    return np.where(s <= 1.0, 1.0, np.where(s >= 2.0, 0.0, mid))
 
 
 @dataclass(frozen=True)
 class BumpFunction:
     """The dyadic bump psi supported on {1/2 <= |t| <= 2}, even, 0 <= psi <= 1."""
 
-    support: tuple = (0.5, 2.0)
-    even: bool = True
-
-    def eval(self, t) -> np.ndarray:
-        t = np.abs(np.asarray(t, dtype=float))
-        return smooth_step(t) - smooth_step(2.0 * t)
+    _scales = (1.0, 2.0)  # (a, b) of the window eta(a|t|) - eta(b|t|)
 
     def __call__(self, t) -> np.ndarray:
-        return self.eval(t)
+        t = np.abs(np.asarray(t, dtype=float))
+        a, b = self._scales
+        return smooth_step(a * t) - smooth_step(b * t)
 
     def dilated(self, l: int, t) -> np.ndarray:
-        """psi_l(t) = psi(2^{-l} t)."""
-        return self.eval(np.asarray(t, dtype=float) * 2.0 ** (-l))
+        """The window at 2^{-l} t: psi_l(t) = psi(2^{-l} t)."""
+        return self(np.asarray(t, dtype=float) * 2.0 ** (-l))
 
 
-@dataclass(frozen=True)
-class FrequencyCutoff:
+class FrequencyCutoff(BumpFunction):
     """rho supported on {1/4 <= |xi| <= 4}, equal to 1 on {1/2 <= |xi| <= 2}."""
 
-    support: tuple = (0.25, 4.0)
-    plateau: tuple = (0.5, 2.0)
-
-    def eval(self, xi) -> np.ndarray:
-        xi = np.abs(np.asarray(xi, dtype=float))
-        return smooth_step(xi / 2.0) - smooth_step(4.0 * xi)
-
-    def __call__(self, xi) -> np.ndarray:
-        return self.eval(xi)
-
-    def dilated(self, l: int, xi) -> np.ndarray:
-        return self.eval(np.asarray(xi, dtype=float) * 2.0 ** (-l))
+    _scales = (0.5, 4.0)
 
 
 def make_bump() -> BumpFunction:
@@ -116,10 +103,8 @@ def project(f: GridFunction2D, l: int, which: str = "P") -> GridFunction2D:
             f"projection level {l} not resolvable: need 2^(l+2) <= pi/h2, so l <= {l_max}"
         )
     omega = 2.0 * np.pi * np.fft.fftfreq(f.n2, d=f.h2)
-    if which == "P":
-        mult = make_bump().dilated(l, omega)
-    else:
-        mult = make_frequency_cutoff().dilated(l, omega)
+    window = make_bump() if which == "P" else make_frequency_cutoff()
+    mult = window.dilated(l, omega)
     spec = np.fft.fft(f.values, axis=1)
     out = np.fft.ifft(spec * mult[None, :], axis=1)
     return f.with_values(out)

@@ -5,24 +5,27 @@ rectangle.  Out-of-grid reads follow the compact-support convention (zero),
 with linear / bilinear interpolation in between; every operator precondition
 is phrased so the needed translates stay inside the grid.
 
-File formats:
-  * CSV: a comment header (`# grid1d origin h n` or
-    `# grid2d x1_origin h1 n1 x2_origin h2 n2`) followed by one `re,im`
-    line per sample, row-major for 2D.
-  * Binary: little-endian, magic `CFGF`, version byte, dims byte, the same
-    header fields as float64/uint64, then the interleaved re,im payload.
-    A file cut short, or with bytes past the promised payload, is refused.
+Both file formats give a grid as one (origin, step, n) triple per axis:
+  * CSV: a comment header `# grid1d` or `# grid2d` and its triples
+    (`# grid2d x1_origin h1 n1 x2_origin h2 n2`), then one `re,im` line
+    per sample, row-major for 2D.
+  * Binary: little-endian, magic `CFGF`, version byte, dims byte, one
+    `<ddQ` triple per axis, then the interleaved re,im payload.
+A CSV header short of a field, a CSV without two columns, and a binary file
+cut short or with bytes past the promised payload are refused.
 
-Both readers refuse NaN or inf samples with a NonFiniteError, as every
-operator and every ModulationField constructor does.
+Both readers refuse NaN or inf samples, and both constructors a NaN or inf
+origin or step, with a NonFiniteError, as every operator and every
+ModulationField constructor does.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,11 +50,24 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what}: {bad} of {values.size} samples are NaN or inf")
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    v = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("1D grid function needs a 1-d array of length >= 2")
-    return v
+def _set_grid(f, names: Tuple[str, ...]) -> None:
+    """Validate and store a frozen grid function's fields in place.
+
+    names are its (origin, step) fields, axis by axis: each becomes a finite
+    float, each step must be positive, and values becomes a contiguous
+    complex array with one axis per (origin, step) pair, each of length >= 2.
+    """
+    for i, name in enumerate(names):
+        value = float(getattr(f, name))
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{type(f).__name__}.{name} is {value}; it must be finite")
+        if i % 2 and not value > 0:
+            raise ValueError(f"{name} must be positive")
+        object.__setattr__(f, name, value)
+    v = np.ascontiguousarray(np.asarray(f.values, dtype=np.complex128))
+    if v.ndim != len(names) // 2 or min(v.shape) < 2:
+        raise ValueError(f"{type(f).__name__} needs {len(names) // 2}-d values, >= 2 per axis")
+    object.__setattr__(f, "values", v)
 
 
 @dataclass(frozen=True)
@@ -61,11 +77,7 @@ class GridFunction1D:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        object.__setattr__(self, "values", _as_complex_vector(self.values))
-        object.__setattr__(self, "origin", float(self.origin))
-        object.__setattr__(self, "step", float(self.step))
+        _set_grid(self, ("origin", "step"))
 
     @property
     def n(self) -> int:
@@ -105,14 +117,7 @@ class GridFunction2D:
     values: np.ndarray = field(repr=False)  # shape (n1, n2), row index = x1
 
     def __post_init__(self):
-        if not (self.h1 > 0 and self.h2 > 0):
-            raise ValueError("grid steps must be positive")
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-            raise ValueError("2D grid function needs an (n1, n2) array, both >= 2")
-        object.__setattr__(self, "values", v)
-        for name in ("x1_origin", "h1", "x2_origin", "h2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _set_grid(self, ("x1_origin", "h1", "x2_origin", "h2"))
 
     @property
     def n1(self) -> int:
@@ -254,53 +259,55 @@ def read_grid_function(path: str) -> Union[GridFunction1D, GridFunction2D]:
     return f
 
 
+def _axes(f: Union[GridFunction1D, GridFunction2D]) -> tuple:
+    """((origin, step, n), ...), one triple per axis; a 1D grid is one axis."""
+    if isinstance(f, GridFunction1D):
+        return ((f.origin, f.step, f.n),)
+    return ((f.x1_origin, f.h1, f.n1), (f.x2_origin, f.h2, f.n2))
+
+
+def _grid_function(axes, values) -> Union[GridFunction1D, GridFunction2D]:
+    """The grid function with the given per-axis (origin, step, n) triples."""
+    values = np.reshape(values, [n for _, _, n in axes])
+    cls = GridFunction1D if len(axes) == 1 else GridFunction2D
+    return cls(*[v for origin, step, _ in axes for v in (origin, step)], values)
+
+
 def _write_csv(path, f) -> None:
+    axes = _axes(f)
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(f, GridFunction1D):
-            fh.write(f"# grid1d {f.origin!r} {f.step!r} {f.n}\n")
-            flat = f.values
-        else:
-            fh.write(
-                f"# grid2d {f.x1_origin!r} {f.h1!r} {f.n1} {f.x2_origin!r} {f.h2!r} {f.n2}\n"
-            )
-            flat = f.values.reshape(-1)
-        for z in flat:
+        fh.write(f"# grid{len(axes)}d " + " ".join(f"{o!r} {h!r} {n}" for o, h, n in axes) + "\n")
+        for z in f.values.reshape(-1):
             fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
 
 
 def _read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) >= 2 and parts[0] == "#" and parts[1] in ("grid1d", "grid2d"):
-            kind = parts[1]
-        else:
+        parts = fh.readline().split()
+        kind, fields = " ".join(parts[:2]), parts[2:]
+        if kind not in ("# grid1d", "# grid2d"):
             raise ValueError(f"{path}: missing grid-function CSV header")
+        if len(fields) != 3 * int(kind[-2]):
+            raise ValueError(f"{path}: a {kind[2:]} header needs origin, step and n per axis, "
+                             f"got {' '.join(fields)!r}")
+        axes = [(float(o), float(h), int(n))
+                for o, h, n in zip(fields[0::3], fields[1::3], fields[2::3])]
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: need two columns re,im per sample, found {data.shape[1]}")
     values = data[:, 0] + 1j * data[:, 1]
-    if kind == "grid1d":
-        origin, step, n = float(parts[2]), float(parts[3]), int(parts[4])
-        if n != values.size:
-            raise ValueError(f"{path}: header promises {n} samples, file has {values.size}")
-        return GridFunction1D(origin, step, values)
-    x1o, h1, n1 = float(parts[2]), float(parts[3]), int(parts[4])
-    x2o, h2, n2 = float(parts[5]), float(parts[6]), int(parts[7])
-    if n1 * n2 != values.size:
-        raise ValueError(f"{path}: header promises {n1}x{n2} samples, file has {values.size}")
-    return GridFunction2D(x1o, h1, x2o, h2, values.reshape(n1, n2))
+    if math.prod(n for _, _, n in axes) != values.size:
+        promised = "x".join(str(n) for _, _, n in axes)
+        raise ValueError(f"{path}: header promises {promised} samples, file has {values.size}")
+    return _grid_function(axes, values)
 
 
 def _write_binary(path, f) -> None:
+    axes = _axes(f)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        if isinstance(f, GridFunction1D):
-            fh.write(struct.pack("<BB", _VERSION, 1))
-            fh.write(struct.pack("<ddQ", f.origin, f.step, f.n))
-            payload = f.values
-        else:
-            fh.write(struct.pack("<BB", _VERSION, 2))
-            fh.write(struct.pack("<ddQddQ", f.x1_origin, f.h1, f.n1, f.x2_origin, f.h2, f.n2))
-            payload = f.values.reshape(-1)
+        fh.write(_MAGIC + struct.pack("<BB", _VERSION, len(axes)))
+        fh.write(b"".join(struct.pack("<ddQ", *axis) for axis in axes))
+        payload = f.values.reshape(-1)
         inter = np.empty(2 * payload.size, dtype="<f8")
         inter[0::2] = payload.real
         inter[1::2] = payload.imag
@@ -329,17 +336,13 @@ def _read_payload(fh, count: int, path) -> np.ndarray:
 
 def _read_binary(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
+        if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a grid-function binary file")
         version, dims = _unpack(fh, "<BB", path)
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        if dims == 1:
-            origin, step, n = _unpack(fh, "<ddQ", path)
-            return GridFunction1D(origin, step, _read_payload(fh, n, path))
-        if dims == 2:
-            x1o, h1, n1, x2o, h2, n2 = _unpack(fh, "<ddQddQ", path)
-            values = _read_payload(fh, n1 * n2, path).reshape(n1, n2)
-            return GridFunction2D(x1o, h1, x2o, h2, values)
-        raise ValueError(f"{path}: unsupported dimension byte {dims}")
+        if dims not in (1, 2):
+            raise ValueError(f"{path}: unsupported dimension byte {dims}")
+        head = _unpack(fh, "<" + "ddQ" * dims, path)
+        axes = [head[i:i + 3] for i in range(0, 3 * dims, 3)]
+        return _grid_function(axes, _read_payload(fh, math.prod(n for _, _, n in axes), path))

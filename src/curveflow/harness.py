@@ -35,7 +35,9 @@ from . import __version__
 from .curves import Curve, LogGrid, check_conditions
 from .dyadic import frequency_index, max_projection_level, project
 from .errors import GeometryError, HypothesisError
-from .gridfn import GridFunction1D, GridFunction2D, ModulationField, _require_finite
+from .gridfn import (
+    GridFunction1D, GridFunction2D, ModulationField, _axes, _grid_function, _require_finite,
+)
 from .operators import (
     PVConfig,
     _group_by_value,
@@ -100,13 +102,8 @@ def lp_norm(f: GridFn, p: float) -> float:
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1):
         raise ValueError("p must be finite and > 1")
     a = np.abs(f.values) ** p
-    if isinstance(f, GridFunction1D):
-        total = float(np.sum(a * _cell_weights(f.n, f.step)))
-    else:
-        w1 = _cell_weights(f.n1, f.h1)
-        w2 = _cell_weights(f.n2, f.h2)
-        total = float(np.sum(a * np.outer(w1, w2)))
-    return total ** (1.0 / p)
+    w = functools.reduce(np.multiply.outer, [_cell_weights(n, h) for _, h, n in _axes(f)])
+    return float(np.sum(a * w)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -179,8 +176,7 @@ class TestFunctionFamily:
                 _draw_profile(rng, gen if i == len(axes) - 1 else inner, xs, axis)
                 for i, (xs, axis) in enumerate(zip(coords, axes))
             ])
-        cls = GridFunction2D if self.is_2d else GridFunction1D
-        return cls(*[v for x0, _, _, h in axes for v in (x0, h)], vals)
+        return _grid_function([(x0, h, n) for x0, _, n, h in axes], vals)
 
 
 def _canon_grid(grid) -> tuple:

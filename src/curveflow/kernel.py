@@ -6,19 +6,21 @@ transform; after rescaling, everything depends on the scale ratio h and the
 rescaled separation s.  verify_kernel_bound measures the kernel modulus
 against the two-term shape chi_{|s| <= 2^{-k r1}} + 2^{-k r2} chi_{|s| <= 4}
 and fits the single constant in front, reporting per-k stability instead of
-an absolute constant (the only falsifiable content at desk scale).
+an absolute constant (the only falsifiable content at desk scale).  Both
+window factors are the dyadic bump psi, and kernel_integral and
+van_der_corput_check sum by one chunked midpoint rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .curves import Curve, LogGrid, check_conditions
-from .dyadic import BumpFunction, make_bump
+from .dyadic import make_bump
 from .errors import HypothesisError
 
 __all__ = [
@@ -37,6 +39,8 @@ __all__ = [
 # baseline quadrature step before the oscillation rule tightens it
 BASE_STEP = 2.0 ** -12
 _PROBE_PER_UNIT = 1000
+_CHUNK = 1 << 20  # midpoint nodes evaluated at once
+_PSI = make_bump()  # the dyadic window of both kernel factors
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,8 @@ class PhaseParams:
     The roles are normalized so the first scale is the finer one: when the
     supplied indices have n_x > n_z the constructor swaps (n_x, u_x) with
     (n_z, u_z) and maps s -> -s * 2^(n_z - n_x), which leaves the kernel
-    modulus invariant.  h is always 2^(n_x - n_z) <= 1 after normalization;
-    passing h explicitly is allowed only if it agrees.
+    modulus invariant.  h = 2^(n_x - n_z) <= 1 is computed after
+    normalization, never passed in.
     """
 
     k: int
@@ -57,7 +61,7 @@ class PhaseParams:
     u_z: float
     s: float
     curve: Curve
-    h: Optional[float] = None
+    h: float = field(init=False)
 
     def __post_init__(self):
         if self.k < 0:
@@ -67,18 +71,12 @@ class PhaseParams:
             n_x, n_z = self.n_z, self.n_x
             u_x, u_z = self.u_z, self.u_x
             s = -s * 2.0 ** (self.n_z - self.n_x)
-        h = 2.0 ** (n_x - n_z)
-        if self.h is not None and not math.isclose(self.h, h, rel_tol=1e-12):
-            if math.isclose(self.h, 2.0 ** (self.n_x - self.n_z), rel_tol=1e-12):
-                pass  # caller described the pre-swap geometry; recompute
-            else:
-                raise ValueError("h must equal 2^(n_x - n_z)")
         object.__setattr__(self, "n_x", n_x)
         object.__setattr__(self, "n_z", n_z)
         object.__setattr__(self, "u_x", u_x)
         object.__setattr__(self, "u_z", u_z)
         object.__setattr__(self, "s", float(s))
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", 2.0 ** (n_x - n_z))
 
 
 def phase(params: PhaseParams, t, order: int = 0):
@@ -116,7 +114,16 @@ def _support_intersection(h: float, s: float) -> List[Tuple[float, float]]:
     return pieces
 
 
-def kernel_integral(params: PhaseParams, bump: Optional[BumpFunction] = None) -> complex:
+def _midpoint_sum(values, lo: float, hi: float, m: int, total: complex) -> complex:
+    """total plus the m-cell midpoint rule for values on [lo, hi], added chunk by chunk."""
+    w = (hi - lo) / m
+    for start in range(0, m, _CHUNK):
+        t = lo + (np.arange(start, min(start + _CHUNK, m)) + 0.5) * w
+        total += w * np.sum(values(t))
+    return total
+
+
+def kernel_integral(params: PhaseParams) -> complex:
     """Oscillatory integral of e^{iQ} against the two window factors.
 
     Supports exclude the singular points, so this is plain quadrature; the
@@ -124,29 +131,23 @@ def kernel_integral(params: PhaseParams, bump: Optional[BumpFunction] = None) ->
     oscillation is sampled at least eight times.  |s| > 2 + 2h gives an
     exact 0 (the windows cannot overlap).
     """
-    psi = bump if bump is not None else make_bump()
     h, s = params.h, params.s
     if abs(s) > 2.0 + 2.0 * h:
         return 0.0 + 0.0j
+
+    def integrand(t):
+        ht_s = h * t - s
+        win = _PSI(ht_s)
+        quot = np.zeros_like(win)
+        np.divide(win, ht_s, out=quot, where=win != 0.0)
+        return np.exp(1j * phase(params, t, 0)) * quot * _PSI(t) / t
+
     total = 0.0 + 0.0j
     for lo, hi in _support_intersection(h, s):
         probe = np.linspace(lo, hi, max(64, int(_PROBE_PER_UNIT * (hi - lo))) + 1)
         qmax = float(np.max(np.abs(phase(params, probe, 1))))
         step = min(BASE_STEP, 1.0 / (8.0 * (1.0 + qmax)))
-        m = int(math.ceil((hi - lo) / step))
-        w = (hi - lo) / m
-        chunk = 1 << 20
-        start = 0
-        while start < m:
-            stop = min(start + chunk, m)
-            t = lo + (np.arange(start, stop) + 0.5) * w
-            ht_s = h * t - s
-            win = psi(ht_s)
-            quot = np.zeros_like(win)
-            np.divide(win, ht_s, out=quot, where=win != 0.0)
-            vals = np.exp(1j * phase(params, t, 0)) * quot * psi(t) / t
-            total += w * np.sum(vals)
-            start = stop
+        total = _midpoint_sum(integrand, lo, hi, int(math.ceil((hi - lo) / step)), total)
     return complex(total)
 
 
@@ -221,40 +222,30 @@ def verify_kernel_bound(
     samples: Sequence[PhaseParams],
     r1: float = 1.0 / 8.0,
     r2: float = 7.0 / 16.0,
-    bump: Optional[BumpFunction] = None,
 ) -> KernelEstimateReport:
     """Measure the kernel against the two-term decay shape and fit c_hat."""
     if not samples:
         raise ValueError("need at least one sample")
-    report = check_conditions(curve, LogGrid())
-    c = report.constants
+    c = check_conditions(curve, LogGrid()).constants
     threshold = 1.0 / (4.0 * c.c1**3 * c.c4)
-    rows: List[SampleEstimate] = []
+    measured = []
     per_k: Dict[int, float] = {}
-    ratios: List[float] = []
     for p in samples:
-        lhs = abs(kernel_integral(p, bump))
+        lhs = abs(kernel_integral(p))
         shp = _shape(p.s, p.k, r1, r2)
-        if shp > 0:
-            ratio = lhs / shp
-        else:
-            ratio = 0.0 if lhs == 0.0 else math.inf
-        case = "A" if p.h <= threshold else "B"
-        rows.append(SampleEstimate(p.k, p.h, p.s, case, lhs, shp, ratio, True))
+        ratio = lhs / shp if shp > 0 else (0.0 if lhs == 0.0 else math.inf)
+        measured.append((p, lhs, shp, ratio))
         per_k[p.k] = max(per_k.get(p.k, 0.0), ratio)
-        ratios.append(ratio)
-    c_hat = max(ratios)
+    c_hat = max(ratio for *_, ratio in measured)
     # with the fitted constant every sample passes by construction; the row
     # verdict records lhs <= c_hat * shape + tol so a frozen c_hat can be
     # replayed against fresh samples
-    rows = [
-        SampleEstimate(
-            r.k, r.h, r.s, r.case, r.lhs, r.shape, r.ratio,
-            r.lhs <= c_hat * r.shape + 1e-12,
-        )
-        for r in rows
-    ]
-    return KernelEstimateReport(tuple(rows), c_hat, per_k, r1, r2, threshold)
+    rows = tuple(
+        SampleEstimate(p.k, p.h, p.s, "A" if p.h <= threshold else "B", lhs, shp, ratio,
+                       lhs <= c_hat * shp + 1e-12)
+        for p, lhs, shp, ratio in measured
+    )
+    return KernelEstimateReport(rows, c_hat, per_k, r1, r2, threshold)
 
 
 def van_der_corput_check(
@@ -279,16 +270,7 @@ def van_der_corput_check(
     step = min((b - a) / 2000.0, 1.0 / (8.0 * (1.0 + float(np.max(np.abs(d1))))))
     m = int(math.ceil((b - a) / step))
     w = (b - a) / m
-    total = 0.0 + 0.0j
-    chunk = 1 << 20
-    start = 0
-    while start < m:
-        stop = min(start + chunk, m)
-        t = a + (np.arange(start, stop) + 0.5) * w
-        phi = phase_eval(t)[0]
-        total += w * np.sum(np.exp(1j * phi))
-        start = stop
-    lhs = abs(total)
+    lhs = abs(_midpoint_sum(lambda t: np.exp(1j * phase_eval(t)[0]), a, b, m, 0.0 + 0.0j))
     rhs = 2.0 / sigma1 + (b - a) * sigma2 / sigma1**2
     # composite midpoint error: (b-a) w^2 max|(e^{i phi})''| / 24, and the
     # bound can be attained (linear phases), so the slack must absorb it

@@ -19,8 +19,8 @@ sum, it is not an approximation.  A direct chunked evaluation covers the
 many-valued case and doubles as the oracle in tests.
 
 Out-of-grid reads are zero (compact-support convention).  With strict=True
-an operator refuses, with a CoverageError naming the missing extent, inputs
-whose boundary samples carry mass while translates read beyond the grid.
+an operator refuses, with a CoverageError naming the extent read on each axis,
+inputs whose boundary samples carry mass while translates read beyond them.
 Every operator refuses NaN or inf input with a NonFiniteError, since one
 FFT would spread it to every output.
 """
@@ -30,16 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import fftconvolve
 
 from .curves import Curve, builtin_curve
-from .dyadic import BumpFunction, frequency_index, make_bump, smooth_step
+from .dyadic import frequency_index, make_bump, smooth_step
 from .errors import CoverageError
-from .gridfn import GridFunction1D, GridFunction2D, ModulationField, _require_finite
+from .gridfn import GridFunction1D, GridFunction2D, ModulationField, _axes, _require_finite
 
 __all__ = [
     "PVConfig",
@@ -61,6 +61,7 @@ MAX_KERNEL_NODES = 20_000_000
 _NODE_CHUNK = 1_000_000
 _EDGE_TOL = 1e-9
 _GROUP_LIMIT = 64  # beyond this many distinct u values, fall back to direct
+_PSI = make_bump()  # the dyadic window of every annulus piece
 
 # phase factors short-circuit at u = 0, but keep a real curve for safety
 _LINE = builtin_curve("power", 1.0)
@@ -218,39 +219,23 @@ def _phase_factor(curve: Curve, v: float, t: np.ndarray) -> np.ndarray:
 # coverage policy
 
 
-def _check_coverage_1d(f: GridFunction1D, reach: float, strict: bool) -> None:
+def _check_coverage(
+    f: Union[GridFunction1D, GridFunction2D], reach: Tuple[float, ...], strict: bool
+) -> None:
+    """With strict, refuse f when its edge samples carry mass: translates by
+    up to reach[axis] on each axis then read beyond the grid."""
     if not strict:
-        return
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return
-    edge = max(
-        float(np.max(np.abs(f.values[:2]))), float(np.max(np.abs(f.values[-2:])))
-    )
-    if edge > _EDGE_TOL * peak:
-        raise CoverageError(
-            "grid does not cover the translate range "
-            f"[{f.origin - reach:g}, {f.x_max + reach:g}] and the boundary "
-            "samples are not negligible",
-            missing_extent=(f.origin - reach, f.x_max + reach),
-        )
-
-
-def _check_coverage_2d(f: GridFunction2D, reach1: float, reach2: float, strict: bool) -> None:
-    if not strict:
-        return
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
         return
     av = np.abs(f.values)
-    edge1 = max(float(av[:2].max()), float(av[-2:].max()))
-    edge2 = max(float(av[:, :2].max()), float(av[:, -2:].max()))
-    if edge1 > _EDGE_TOL * peak or edge2 > _EDGE_TOL * peak:
+    peak = float(np.max(av))
+    edge = max(float(np.take(av, [0, 1, -2, -1], axis=ax).max()) for ax in range(av.ndim))
+    if peak > 0.0 and edge > _EDGE_TOL * peak:
+        extent = tuple((o - r, o + h * (n - 1) + r) for (o, h, n), r in zip(_axes(f), reach))
+        span = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in extent)
         raise CoverageError(
-            "grid does not cover the translate range "
-            f"(+-{reach1:g} in x1, +-{reach2:g} in x2) and the boundary "
+            f"grid does not cover the translate range {span} and the boundary "
             "samples are not negligible",
-            missing_extent=(reach1, reach2),
+            missing_extent=extent,
         )
 
 
@@ -349,7 +334,7 @@ def carleson_apply(
 ) -> GridFunction1D:
     """Modulated principal-value transform with phase u(x) * gamma(t)."""
     _require_finite(f.values, "carleson_apply input")
-    _check_coverage_1d(f, cfg.radius, strict)
+    _check_coverage(f, (cfg.radius,), strict)
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
     groups = _group_by_value(u_vals)
     if len(groups) > _GROUP_LIMIT:
@@ -369,7 +354,7 @@ def maximal_truncated_hilbert(
 ) -> GridFunction1D:
     """Max over geometric truncation pairs of the plain Hilbert integral."""
     _require_finite(f.values, "maximal_truncated_hilbert input")
-    _check_coverage_1d(f, cfg.radius, strict)
+    _check_coverage(f, (cfg.radius,), strict)
     shells: List[np.ndarray] = []
     a, M = cfg.epsilon, -1  # the last (widest) shell sets the silence reach
     while a < cfg.radius:
@@ -407,7 +392,7 @@ def hilbert_variable_apply(
     u_vals = np.asarray(u.eval(f.x1s()), dtype=float)
     vmax = float(np.max(np.abs(u_vals))) if u_vals.size else 0.0
     shift_cap = abs(vmax) * float(curve.deriv(cfg.radius, 0, check=False)) if vmax else 0.0
-    _check_coverage_2d(f, cfg.radius, shift_cap, strict)
+    _check_coverage(f, (cfg.radius, shift_cap), strict)
 
     def weights(t, w):
         q = (w / t).astype(np.complex128)
@@ -462,7 +447,6 @@ def truncated_piece_apply(
     u: ModulationField,
     curve: Curve,
     k: int,
-    bump: Optional[BumpFunction] = None,
     *,
     strict: bool = False,
 ) -> GridFunction1D:
@@ -475,7 +459,6 @@ def truncated_piece_apply(
     if k < 0:
         raise ValueError("k must be >= 0")
     _require_finite(f.values, "truncated_piece_apply input")
-    psi = bump if bump is not None else make_bump()
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
 
     def build(v):
@@ -483,13 +466,13 @@ def truncated_piece_apply(
             return None
         n = frequency_index(abs(v), curve, 0)
         scale = 2.0 ** (k + n)
-        _check_coverage_1d(f, 2.0 * scale, strict)
+        _check_coverage(f, (2.0 * scale,), strict)
         rate = abs(v) * float(curve.deriv(2.0 * scale, 1, check=False))
         plans, _ = _annulus_plan(scale, rate, f.step)
         M = int(math.ceil(2.0 * scale / f.step)) + 1
 
         def weights(t, w):
-            window = psi(t / scale) / t
+            window = _PSI(t / scale) / t
             return [(w * _phase_factor(curve, v, t) * window,
                      -w * _phase_factor(curve, v, -t) * window)]
 
@@ -505,7 +488,6 @@ def annulus_piece_apply(
     curve: Curve,
     k: int,
     l: int,
-    bump: Optional[BumpFunction] = None,
     *,
     strict: bool = False,
 ) -> GridFunction2D:
@@ -513,7 +495,6 @@ def annulus_piece_apply(
     if k < 0:
         raise ValueError("k must be >= 0")
     _require_finite(f.values, "annulus_piece_apply input")
-    psi = bump if bump is not None else make_bump()
     u_vals = np.asarray(u.eval(f.x1s()), dtype=float)
 
     def build(v):
@@ -522,14 +503,14 @@ def annulus_piece_apply(
         n = frequency_index(abs(v), curve, l)
         scale = 2.0 ** (k + n)
         shift = abs(v) * float(curve.deriv(2.0 * scale, 0, check=False))
-        _check_coverage_2d(f, 2.0 * scale, shift, strict)
+        _check_coverage(f, (2.0 * scale, shift), strict)
         rate2 = abs(v) * float(curve.deriv(2.0 * scale, 1, check=False)) / f.h2
         plans, _ = _annulus_plan(scale, rate2, f.h1)
         reach = (int(math.ceil(2.0 * scale / f.h1)) + 1,
                  int(math.ceil((shift + 1.0) / f.h2)) + 1)
 
         def weights(t, w):
-            window = (w * psi(t / scale) / t).astype(np.complex128)
+            window = (w * _PSI(t / scale) / t).astype(np.complex128)
             return [(window, -window)]
 
         on_x2 = lambda s: v * curve.deriv(s, 0, check=False)
@@ -558,7 +539,7 @@ def low_split_apply(
     Both kernels of a group come from one pass over its nodes.
     """
     _require_finite(f.values, "low_split_apply input")
-    _check_coverage_1d(f, cfg.radius, strict)
+    _check_coverage(f, (cfg.radius,), strict)
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
 
     def build(v):

@@ -176,6 +176,18 @@ def test_non_finite_input_file_exits_2(tmp_path, capsys):
     assert "NaN or inf" in err
 
 
+@pytest.mark.parametrize("text", [
+    "# grid1d 0.0 0.1\n0,0\n1,0\n",
+    "# grid1d 0.0 0.1 3\n0\n1\n2\n",
+], ids=["short-header", "one-column"])
+def test_malformed_csv_input_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    code, _, err = run_cli(capsys, "carleson", "--f", str(p))
+    assert code == 2
+    assert str(p) in err
+
+
 def test_fixtures_env_override(tmp_path, capsys, monkeypatch):
     fx = tmp_path / "fx.json"
     # a gate no fitted exponent can beat forces the verdict failure branch

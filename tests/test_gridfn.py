@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -133,6 +136,75 @@ def test_reader_refuses_non_finite_samples(tmp_path, fmt, suffix, which, bad):
     write_grid_function(str(p), f.with_values(vals), fmt=fmt)
     with pytest.raises(NonFiniteError, match=f"1 of {vals.size} samples"):
         read_grid_function(str(p))
+
+
+# the file formats, pinned byte for byte: each header is one (origin, step, n)
+# triple per axis, and a whole file for a fixed small function has a fixed hash
+PIN_1D = GridFunction1D(-1.5, 0.25, np.array([0.0, 1 + 0.5j, -2.25, 3j, 0.1 - 7.0j]))
+PIN_2D = GridFunction2D(
+    -1.0, 0.1, 2.0, 0.5, (np.arange(6.0) - 2.5j * np.arange(6.0)[::-1]).reshape(2, 3)
+)
+
+
+@pytest.mark.parametrize("f,fmt,header,sha256", [
+    (PIN_1D, "csv", b"# grid1d -1.5 0.25 5\n",
+     "705c7d5c3c0a9043af10182c7393066d360ff8ecae2e4ac76a58688abe7596b0"),
+    (PIN_1D, "binary",
+     b"CFGF" + bytes.fromhex("0101000000000000f8bf000000000000d03f0500000000000000"),
+     "5ad3197140a2cc3af3716540885a3769dbbb80bbd04df5298c7da34900b4120c"),
+    (PIN_2D, "csv", b"# grid2d -1.0 0.1 2 2.0 0.5 3\n",
+     "cb0a998e1ac947b637737b109a3791e302554214ddc1040a726e97a613991d65"),
+    (PIN_2D, "binary",
+     b"CFGF" + bytes.fromhex("0102000000000000f0bf9a9999999999b93f0200000000000000"
+                             "0000000000000040000000000000e03f0300000000000000"),
+     "088976c630dd433eab01581cebbe88f50f8e8a5ccec8f88cc3f40a99cd32e939"),
+], ids=["1d-csv", "1d-binary", "2d-csv", "2d-binary"])
+def test_file_format_pinned(tmp_path, f, fmt, header, sha256):
+    p = tmp_path / "pinned"
+    write_grid_function(str(p), f, fmt=fmt)
+    data = p.read_bytes()
+    assert data[:len(header)] == header
+    assert hashlib.sha256(data).hexdigest() == sha256
+    g = read_grid_function(str(p))
+    assert type(g) is type(f)
+    np.testing.assert_array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("# grid1d 0.0 0.1\n0,0\n1,0\n", "header needs origin, step and n per axis"),
+    ("# grid2d 0.0 0.1 2 0.0 0.1\n" + "0,0\n" * 4, "header needs origin, step and n per axis"),
+    ("# grid1d 0.0 0.1 3\n0\n1\n2\n", "two columns"),
+], ids=["short-1d-header", "short-2d-header", "one-column"])
+def test_csv_reader_refuses_malformed_file(tmp_path, text, match):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match) as exc:
+        read_grid_function(str(p))
+    assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda bad: GridFunction1D(bad, 0.1, np.zeros(4)), "origin"),
+    (lambda bad: GridFunction1D(0.0, bad, np.zeros(4)), "step"),
+    (lambda bad: GridFunction2D(bad, 0.1, 0.0, 0.1, np.zeros((3, 3))), "x1_origin"),
+    (lambda bad: GridFunction2D(0.0, bad, 0.0, 0.1, np.zeros((3, 3))), "h1"),
+    (lambda bad: GridFunction2D(0.0, 0.1, bad, 0.1, np.zeros((3, 3))), "x2_origin"),
+    (lambda bad: GridFunction2D(0.0, 0.1, 0.0, bad, np.zeros((3, 3))), "h2"),
+], ids=["origin", "step", "x1_origin", "h1", "x2_origin", "h2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_refuses_non_finite_origin_or_step(build, name, bad):
+    with pytest.raises(NonFiniteError, match=rf"\.{name} is"):
+        build(bad)
+
+
+def test_readers_refuse_non_finite_origin(tmp_path):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("# grid1d nan 0.01 401\n" + "1,0\n" * 401)
+    binary = tmp_path / "nan.cfgf"
+    binary.write_bytes(b"CFGF" + struct.pack("<BBddQ", 1, 1, float("nan"), 0.01, 4) + bytes(64))
+    for p in (csv, binary):
+        with pytest.raises(NonFiniteError, match="origin is nan"):
+            read_grid_function(str(p))
 
 
 def test_csv_header_shape(tmp_path):

@@ -49,15 +49,6 @@ def test_phase_params_rejects_negative_k():
         PhaseParams(k=-1, n_x=0, n_z=0, u_x=1.0, u_z=1.0, s=0.0, curve=PARAB)
 
 
-def test_phase_params_h_consistency():
-    p = PhaseParams(k=0, n_x=0, n_z=2, u_x=1.0, u_z=1.0, s=0.0, curve=PARAB,
-                    h=0.25)
-    assert p.h == 0.25
-    with pytest.raises(ValueError):
-        PhaseParams(k=0, n_x=0, n_z=2, u_x=1.0, u_z=1.0, s=0.0, curve=PARAB,
-                    h=0.5)
-
-
 # ---------------------------------------------------------------------- phase
 
 
@@ -154,11 +145,6 @@ def test_kernel_integral_triangle_bound():
                         u_z=float(rng.uniform(-2, 2)),
                         s=float(rng.uniform(-3, 3)), curve=PARAB)
         assert abs(kernel_integral(p)) <= 12.0
-
-
-def test_kernel_integral_explicit_bump_matches_default():
-    p = PhaseParams(k=2, n_x=0, n_z=0, u_x=1.0, u_z=1.0, s=0.5, curve=PARAB)
-    assert kernel_integral(p) == kernel_integral(p, bump=make_bump())
 
 
 def test_kernel_integral_parabola_regression_fixture():

@@ -621,9 +621,47 @@ def test_strict_coverage_rejects_boundary_mass():
     cfg = PVConfig(1e-3, 2.0, 1e-3)
     with pytest.raises(CoverageError) as exc:
         carleson_apply(f, ModulationField.constant(1.0), builtin_curve("power", 2.0), cfg, strict=True)
-    assert exc.value.missing_extent is not None
+    # one (lo, hi) per axis: the grid widened by the reach on both sides
+    ((lo, hi),) = exc.value.missing_extent
+    assert (lo, hi) == (pytest.approx(-3.0), pytest.approx(3.0))
     # lenient mode accepts the same input
     carleson_apply(f, ModulationField.constant(1.0), builtin_curve("power", 2.0), cfg)
+
+
+def _profile_2d(p1, p2):
+    x1 = -3.0 + 0.05 * np.arange(121)
+    x2 = -6.0 + 0.05 * np.arange(241)
+    return GridFunction2D(-3.0, 0.05, -6.0, 0.05, np.outer(p1(x1), p2(x2)) + 0j)
+
+
+def _edge_free(x):
+    return np.exp(-4.0 * x ** 2)  # below 1e-15 of its peak at every grid edge
+
+
+@pytest.mark.parametrize("apply", [
+    lambda f: hilbert_variable_apply(f, ModulationField.constant(1.0), builtin_curve("power", 2.0),
+                                     PVConfig(0.05, 1.0, 0.01), strict=True),
+    lambda f: annulus_piece_apply(f, ModulationField.constant(1.0), builtin_curve("power", 2.0),
+                                  0, 0, strict=True),
+], ids=["hilbert_variable", "annulus_piece"])
+@pytest.mark.parametrize("p1,p2,refused", [
+    (np.ones_like, _edge_free, True),
+    (_edge_free, np.ones_like, True),
+    (_edge_free, _edge_free, False),
+], ids=["mass-on-axis0-edge", "mass-on-axis1-edge", "compact"])
+def test_strict_coverage_2d_checks_both_axes(apply, p1, p2, refused):
+    f = _profile_2d(p1, p2)
+    if not refused:
+        assert apply(f).values.shape == f.values.shape
+        return
+    with pytest.raises(CoverageError) as exc:
+        apply(f)
+    # one (lo, hi) per axis, each reaching past its edge of the grid
+    extent = exc.value.missing_extent
+    assert len(extent) == 2
+    for (lo, hi), (origin, top) in zip(extent, [(f.x1_origin, f.x1_max), (f.x2_origin, f.x2_max)]):
+        assert lo < origin and hi > top
+    assert " x " in str(exc.value)
 
 
 def test_strict_coverage_accepts_compact_support():
