@@ -16,7 +16,7 @@ cut short or with bytes past the promised payload are refused.
 
 Both readers refuse NaN or inf samples, and both constructors a NaN or inf
 origin or step, with a NonFiniteError, as every operator and every
-ModulationField constructor does.
+ModulationField constructor does.  Every reader refusal names the file.
 """
 
 from __future__ import annotations
@@ -254,7 +254,10 @@ def write_grid_function(path: str, f: Union[GridFunction1D, GridFunction2D], fmt
 def read_grid_function(path: str) -> Union[GridFunction1D, GridFunction2D]:
     with open(path, "rb") as fh:
         head = fh.read(4)
-    f = _read_binary(path) if head == _MAGIC else _read_csv(path)
+    try:
+        f = _read_binary(path) if head == _MAGIC else _read_csv(path)
+    except NonFiniteError as e:  # a NaN or inf origin or step in the header
+        raise NonFiniteError(f"{path}: {e}") from None
     _require_finite(f.values, str(path))
     return f
 

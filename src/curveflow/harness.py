@@ -708,6 +708,15 @@ def covering_geometry(
 # domination by shifted maximal averages
 
 
+def _runs(idx: np.ndarray) -> List[Tuple[int, int, int]]:
+    """(position, first value, length) of each run of consecutive values in
+    the increasing index array idx."""
+    cuts = np.flatnonzero(np.diff(idx) != 1) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.concatenate((cuts, [idx.size]))
+    return [(int(a), int(idx[a]), int(b - a)) for a, b in zip(starts, stops)]
+
+
 def domination_experiment(
     curve: Curve,
     u: ModulationField,
@@ -761,6 +770,7 @@ def domination_experiment(
                 g_pos = np.asarray(curve.deriv(pos, 0, check=False), dtype=float)
                 n_t = max(1, min(3, int(ilen / f.h1)))
                 offs = (np.arange(n_t) + 0.5) / n_t * ilen
+                runs = _runs(ridx)
                 acc = np.zeros((ridx.size, lhs.shape[1]))
                 peak = np.zeros_like(acc)
                 for tau in taus:
@@ -773,10 +783,14 @@ def domination_experiment(
                         for off in offs:
                             t_node = pos[j] + off
                             delta = int(round(t_node / f.h1))
-                            for src in (ridx - delta, ridx + delta):
-                                # rows read off the grid add nothing
-                                valid = (src >= 0) & (src < g2.shape[0])
-                                piece[valid] += g2[src[valid]]
+                            for shift in (-delta, delta):
+                                for at, row, size in runs:
+                                    # rows read off the grid add nothing
+                                    lo = max(row + shift, 0)
+                                    hi = min(row + shift + size, g2.shape[0])
+                                    if lo < hi:
+                                        at_lo = at + lo - (row + shift)
+                                        piece[at_lo : at_lo + hi - lo] += g2[lo:hi]
                         a_tau += piece / (n_t * m_sub.size)
                     acc += w_tau * a_tau
                     np.maximum(peak, a_tau, out=peak)

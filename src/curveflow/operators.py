@@ -18,6 +18,17 @@ each, by one routine, _apply_groups; this reorders the same floating-point
 sum, it is not an approximation.  A direct chunked evaluation covers the
 many-valued case and doubles as the oracle in tests.
 
+Kernel memo: the 1D grouped operators (carleson_apply, truncated_piece_apply
+and both channels of low_split_apply) build their kernels in module-level
+functions of hashable arguments only, keyed on (curve, v, cfg, step),
+(curve, v, k, step) and (curve, v, cfg, step) respectively, and keep them in
+one least-recently-used memo of at most _KERNEL_MEMO_BYTES kernel bytes.  A
+hit returns the arrays the first build made, marked read-only, so results
+are bit-identical to a fresh build.  Curve equality compares the derivative
+callables by identity: two separately built curves never share an entry.
+Input checks, coverage, grouping, convolution and silencing stay per call,
+and 2D kernels are built afresh every time.
+
 Out-of-grid reads are zero (compact-support convention).  With strict=True
 an operator refuses, with a CoverageError naming the extent read on each axis,
 inputs whose boundary samples carry mass while translates read beyond them.
@@ -27,6 +38,8 @@ FFT would spread it to every output.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,6 +75,7 @@ _NODE_CHUNK = 1_000_000
 _EDGE_TOL = 1e-9
 _GROUP_LIMIT = 64  # beyond this many distinct u values, fall back to direct
 _PSI = make_bump()  # the dyadic window of every annulus piece
+_KERNEL_MEMO_BYTES = 64 * 2 ** 20  # total kernel bytes the 1D memo keeps
 
 # phase factors short-circuit at u = 0, but keep a real curve for safety
 _LINE = builtin_curve("power", 1.0)
@@ -210,9 +224,58 @@ def _bin_hat(kernels: List[np.ndarray], pos: List[np.ndarray], qs: List[np.ndarr
 
 
 def _phase_factor(curve: Curve, v: float, t: np.ndarray) -> np.ndarray:
+    """e^{i v gamma(t)}.  An even curve gives the same array at -t bit for
+    bit, so its -t weights are the negated +t weights."""
     if v == 0.0:
         return np.ones(t.shape, dtype=np.complex128)
     return np.exp(1j * v * curve.deriv(t, 0, check=False))
+
+
+class _KernelMemo:
+    """Least-recently-used memo of 1D kernel builds, bounded in total bytes.
+
+    Decorates a build(*args) -> (kernels, reach) or None and keys each entry
+    on the build and its arguments.  Kernels are made read-only before they
+    are returned, so no caller can change one that the memo shares.  A build
+    larger than _KERNEL_MEMO_BYTES is returned but not kept.
+    """
+
+    def __init__(self):
+        self.entries: "collections.OrderedDict[tuple, tuple]" = collections.OrderedDict()
+        self.nbytes = 0
+        self.hits = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+        self.hits = 0
+
+    def __call__(self, build):
+        @functools.wraps(build)
+        def cached(*args):
+            key = (build, *args)
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                self.hits += 1
+                return self.entries[key][0]
+            built = build(*args)
+            size = 0
+            if built is not None:
+                for kernel in built[0]:
+                    kernel.flags.writeable = False
+                    size += kernel.nbytes
+            if size <= _KERNEL_MEMO_BYTES:
+                self.entries[key] = (built, size)
+                self.nbytes += size
+                while self.nbytes > _KERNEL_MEMO_BYTES:
+                    _, (_, old) = self.entries.popitem(last=False)
+                    self.nbytes -= old
+            return built
+
+        return cached
+
+
+_kernel_memo = _KernelMemo()
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +360,20 @@ def _carleson_plans(curve: Curve, v: float, cfg: PVConfig):
 
 
 def _carleson_weights(curve: Curve, v: float):
-    return lambda t, w: [
-        (w * _phase_factor(curve, v, t) / t, -w * _phase_factor(curve, v, -t) / t)
-    ]
+    def weights(t, w):
+        plus = w * _phase_factor(curve, v, t) / t
+        minus = -plus if curve.parity == "even" else -w * _phase_factor(curve, v, -t) / t
+        return [(plus, minus)]
+
+    return weights
+
+
+@_kernel_memo
+def _carleson_kernel(curve: Curve, v: float, cfg: PVConfig, step: float):
+    """carleson_apply's kernel and reach for the group at modulation v."""
+    plans, _ = _carleson_plans(curve, v, cfg)
+    M = int(math.ceil(cfg.radius / step)) + 1
+    return tuple(_assemble(plans, (step,), (M,), _carleson_weights(curve, v))), (M,)
 
 
 def _carleson_direct(
@@ -339,13 +413,7 @@ def carleson_apply(
     groups = _group_by_value(u_vals)
     if len(groups) > _GROUP_LIMIT:
         return f.with_values(_carleson_direct(f, u_vals, curve, cfg))
-    M = int(math.ceil(cfg.radius / f.step)) + 1
-
-    def build(v):
-        plans, _ = _carleson_plans(curve, v, cfg)
-        return _assemble(plans, (f.step,), (M,), _carleson_weights(curve, v)), (M,)
-
-    (out,) = _apply_groups(f.values, groups, build)
+    (out,) = _apply_groups(f.values, groups, lambda v: _carleson_kernel(curve, v, cfg, f.step))
     return f.with_values(out)
 
 
@@ -464,22 +532,33 @@ def truncated_piece_apply(
     def build(v):
         if v == 0.0:
             return None
-        n = frequency_index(abs(v), curve, 0)
-        scale = 2.0 ** (k + n)
-        _check_coverage(f, (2.0 * scale,), strict)
-        rate = abs(v) * float(curve.deriv(2.0 * scale, 1, check=False))
-        plans, _ = _annulus_plan(scale, rate, f.step)
-        M = int(math.ceil(2.0 * scale / f.step)) + 1
-
-        def weights(t, w):
-            window = _PSI(t / scale) / t
-            return [(w * _phase_factor(curve, v, t) * window,
-                     -w * _phase_factor(curve, v, -t) * window)]
-
-        return _assemble(plans, (f.step,), (M,), weights), (M,)
+        _check_coverage(f, (2.0 * _piece_scale(curve, v, k),), strict)
+        return _piece_kernel(curve, v, k, f.step)
 
     (out,) = _apply_groups(f.values, _group_by_value(u_vals), build)
     return f.with_values(out)
+
+
+def _piece_scale(curve: Curve, v: float, k: int) -> float:
+    """Centre 2^{k+n} of the annulus at modulation v != 0."""
+    return 2.0 ** (k + frequency_index(abs(v), curve, 0))
+
+
+@_kernel_memo
+def _piece_kernel(curve: Curve, v: float, k: int, step: float):
+    """truncated_piece_apply's kernel and reach for the group at v != 0."""
+    scale = _piece_scale(curve, v, k)
+    rate = abs(v) * float(curve.deriv(2.0 * scale, 1, check=False))
+    plans, _ = _annulus_plan(scale, rate, step)
+    M = int(math.ceil(2.0 * scale / step)) + 1
+
+    def weights(t, w):
+        window = _PSI(t / scale) / t
+        plus = w * _phase_factor(curve, v, t) * window
+        minus = -plus if curve.parity == "even" else -w * _phase_factor(curve, v, -t) * window
+        return [(plus, minus)]
+
+    return tuple(_assemble(plans, (step,), (M,), weights)), (M,)
 
 
 def annulus_piece_apply(
@@ -541,34 +620,34 @@ def low_split_apply(
     _require_finite(f.values, "low_split_apply input")
     _check_coverage(f, (cfg.radius,), strict)
     u_vals = np.asarray(u.eval(f.xs()), dtype=float)
-
-    def build(v):
-        if v == 0.0:
-            lo_cut = cfg.radius
-            phi = lambda t: np.ones_like(t)
-        else:
-            n = frequency_index(abs(v), curve, 0)
-            lo_cut = min(2.0 ** n, cfg.radius)
-            phi = lambda t: smooth_step(np.abs(t) * 2.0 ** (-(n - 1)))
-        if lo_cut <= cfg.epsilon:
-            return None
-        plans, _ = _carleson_plans(curve, v, PVConfig(cfg.epsilon, lo_cut, cfg.substep))
-        M = int(math.ceil(lo_cut / f.step)) + 1
-
-        def weights(t, w):
-            wp = phi(t)
-            q_base_p = w * wp / t
-            q_base_m = -w * wp / t
-            return [
-                (q_base_p * (_phase_factor(curve, v, t) - 1.0),
-                 q_base_m * (_phase_factor(curve, v, -t) - 1.0)),
-                (q_base_p, q_base_m),
-            ]
-
-        return _assemble(plans, (f.step,), (M,), weights), (M,)
-
+    build = lambda v: _low_split_kernels(curve, v, cfg, f.step)
     t1, t2 = _apply_groups(f.values, _group_by_value(u_vals), build, channels=2)
     return f.with_values(t1), f.with_values(t2)
+
+
+@_kernel_memo
+def _low_split_kernels(curve: Curve, v: float, cfg: PVConfig, step: float):
+    """low_split_apply's two kernels and reach for the group at v, or None."""
+    if v == 0.0:
+        lo_cut = cfg.radius
+        phi = lambda t: np.ones_like(t)
+    else:
+        n = frequency_index(abs(v), curve, 0)
+        lo_cut = min(2.0 ** n, cfg.radius)
+        phi = lambda t: smooth_step(np.abs(t) * 2.0 ** (-(n - 1)))
+    if lo_cut <= cfg.epsilon:
+        return None
+    plans, _ = _carleson_plans(curve, v, PVConfig(cfg.epsilon, lo_cut, cfg.substep))
+    M = int(math.ceil(lo_cut / step)) + 1
+
+    def weights(t, w):
+        q_base_p = w * phi(t) / t
+        q_base_m = -q_base_p
+        plus = q_base_p * (_phase_factor(curve, v, t) - 1.0)
+        minus = -plus if curve.parity == "even" else q_base_m * (_phase_factor(curve, v, -t) - 1.0)
+        return [(plus, minus), (q_base_p, q_base_m)]
+
+    return tuple(_assemble(plans, (step,), (M,), weights)), (M,)
 
 
 # ---------------------------------------------------------------------------

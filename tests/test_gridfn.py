@@ -203,8 +203,9 @@ def test_readers_refuse_non_finite_origin(tmp_path):
     binary = tmp_path / "nan.cfgf"
     binary.write_bytes(b"CFGF" + struct.pack("<BBddQ", 1, 1, float("nan"), 0.01, 4) + bytes(64))
     for p in (csv, binary):
-        with pytest.raises(NonFiniteError, match="origin is nan"):
+        with pytest.raises(NonFiniteError, match="origin is nan") as exc:
             read_grid_function(str(p))
+        assert str(exc.value).startswith(f"{p}: ")
 
 
 def test_csv_header_shape(tmp_path):

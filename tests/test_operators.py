@@ -25,8 +25,11 @@ from curveflow.operators import (
     shifted_maximal,
     truncated_piece_apply,
 )
+from curveflow import operators
 from curveflow.operators import (
     _carleson_direct,
+    _carleson_kernel,
+    _kernel_memo,
     _prefix_sums,
     _segment_sums,
     _shifted_maximal_rows,
@@ -669,3 +672,137 @@ def test_strict_coverage_accepts_compact_support():
     cfg = PVConfig(1e-3, 2.0, 1e-3)
     out = carleson_apply(f, ModulationField.constant(1.0), builtin_curve("power", 2.0), cfg, strict=True)
     assert out.n == f.n
+
+
+# ---------------------------------------------------------------------------
+# the kernel memo of the 1D grouped operators
+
+MEMO_CFG = PVConfig(0.04, 2.0, 0.02)
+MEMO_OPERATORS = {
+    "carleson": lambda f, v, c, cfg, k: [carleson_apply(f, ModulationField.constant(v), c, cfg).values],
+    "truncated_piece": lambda f, v, c, cfg, k: [
+        truncated_piece_apply(f, ModulationField.constant(v), c, k).values],
+    "low_split": lambda f, v, c, cfg, k: [
+        t.values for t in low_split_apply(f, ModulationField.constant(v), c, cfg)],
+}
+
+
+@pytest.fixture
+def memo():
+    _kernel_memo.clear()
+    yield _kernel_memo
+    _kernel_memo.clear()
+
+
+def memo_base():
+    return dict(f=gaussian(-6.0, 0.05, 241), v=0.7, c=builtin_curve("power", 2.0), cfg=MEMO_CFG, k=0)
+
+
+def fresh(apply, args):
+    _kernel_memo.clear()
+    return apply(**args)
+
+
+def same(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_OPERATORS))
+def test_memo_hit_equals_fresh_build(name, memo):
+    apply, args = MEMO_OPERATORS[name], memo_base()
+    first = apply(**args)
+    hits = memo.hits
+    again = apply(**args)
+    assert memo.hits == hits + 1
+    assert same(again, first) and same(again, fresh(apply, args))
+
+
+# each variant changes one key field of the base call
+MEMO_VARIANTS = {
+    "step": ("all", dict(f=gaussian(-6.0, 0.04, 301))),
+    "epsilon": ("cfg", dict(cfg=PVConfig(0.03, 2.0, 0.02))),
+    "radius": ("cfg", dict(cfg=PVConfig(0.04, 0.9, 0.02))),  # low split: below 2^n = 1
+    "substep": ("cfg", dict(cfg=PVConfig(0.04, 2.0, 0.01))),
+    "minus_v": ("all", dict(v=-0.7)),
+    "k": ("k", dict(k=1)),
+    "family_sibling": ("all", dict(c=builtin_curve("power", 1.5))),
+}
+MEMO_CASES = [
+    (name, variant)
+    for variant, (uses, _) in MEMO_VARIANTS.items()
+    for name in sorted(MEMO_OPERATORS)
+    if uses == "all" or (uses == "k") == (name == "truncated_piece")
+]
+
+
+@pytest.mark.parametrize("name,variant", MEMO_CASES)
+def test_memo_key_fields_each_get_their_own_kernel(name, variant, memo):
+    apply, base = MEMO_OPERATORS[name], memo_base()
+    other = {**base, **MEMO_VARIANTS[variant][1]}
+    want_base, want_other = fresh(apply, base), fresh(apply, other)
+    assert not same(want_base, want_other)  # a key that missed the field would show
+    memo.clear()
+    apply(**base)
+    assert same(apply(**other), want_other)
+    assert same(apply(**base), want_base)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_OPERATORS))
+def test_memo_signed_zero_and_twin_curves(name, memo):
+    apply, base = MEMO_OPERATORS[name], memo_base()
+    zero, minus_zero = {**base, "v": 0.0}, {**base, "v": -0.0}
+    want = fresh(apply, minus_zero)
+    memo.clear()
+    apply(**zero)
+    assert same(apply(**minus_zero), want)
+    # a separately built curve of the same family and alpha is a new key
+    memo.clear()
+    apply(**base)
+    entries = len(memo.entries)
+    twin = {**base, "c": builtin_curve("power", 2.0)}
+    assert same(apply(**twin), fresh(apply, base))
+    memo.clear()
+    apply(**base)
+    apply(**twin)
+    assert len(memo.entries) == 2 * entries
+
+
+def test_memo_kernels_refuse_writes(memo):
+    kernels, _ = _carleson_kernel(builtin_curve("power", 2.0), 0.7, MEMO_CFG, 0.05)
+    with pytest.raises(ValueError):
+        kernels[0][0] = 1.0
+    again, _ = _carleson_kernel(builtin_curve("power", 2.0), 0.7, MEMO_CFG, 0.05)
+    assert not again[0].flags.writeable
+
+
+def test_memo_strict_piece_refuses_edge_mass_on_miss_and_hit(memo):
+    f = GridFunction1D(-1.0, 0.01, np.ones(201, dtype=np.complex128))
+    u, c = ModulationField.constant(0.7), builtin_curve("power", 2.0)
+    with pytest.raises(CoverageError):
+        truncated_piece_apply(f, u, c, 0, strict=True)
+    truncated_piece_apply(f, u, c, 0)  # lenient: builds and keeps the kernel
+    assert len(memo.entries) == 1
+    hits = memo.hits
+    with pytest.raises(CoverageError):
+        truncated_piece_apply(f, u, c, 0, strict=True)
+    assert memo.hits == hits  # refused before the memo is read
+
+
+def test_memo_stays_under_its_byte_cap(memo, monkeypatch):
+    base = memo_base()
+    calls = [(name, {**base, "v": v}) for v in (0.7, -1.3, 2.9, 0.0) for name in sorted(MEMO_OPERATORS)]
+    wants = [fresh(MEMO_OPERATORS[name], args) for name, args in calls]
+    cap = 3 * _carleson_kernel(base["c"], 0.7, base["cfg"], base["f"].step)[0][0].nbytes
+    memo.clear()
+    monkeypatch.setattr(operators, "_KERNEL_MEMO_BYTES", cap)
+    for _ in range(2):
+        for (name, args), want in zip(calls, wants):
+            assert same(MEMO_OPERATORS[name](**args), want)
+            assert memo.nbytes <= cap
+            assert memo.nbytes == sum(size for _, size in memo.entries.values())
+    assert len(memo.entries) < len(calls)
+    # a kernel larger than the cap is returned but not kept
+    memo.clear()
+    monkeypatch.setattr(operators, "_KERNEL_MEMO_BYTES", 16)
+    assert same(MEMO_OPERATORS["carleson"](**base), wants[0])
+    assert memo.nbytes == 0 and not memo.entries
