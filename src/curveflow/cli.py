@@ -144,12 +144,8 @@ def _merged(args, defaults: dict) -> dict:
     return cfg
 
 
-def _fixtures_path(cfg: dict) -> pathlib.Path:
-    return fixtures_path(cfg.get("fixtures"))
-
-
 def _load_fixtures(cfg: dict) -> dict:
-    path = _fixtures_path(cfg)
+    path = fixtures_path(cfg.get("fixtures"))
     if not path.is_file():
         raise ConfigError(f"thresholds fixture not found: {path}")
     return load_fixtures(cfg.get("fixtures"))
@@ -165,7 +161,7 @@ def _resolve_gate(value, cfg: dict):
         key = value.split(":", 1)[1]
         fixtures = _load_fixtures(cfg)
         if key not in fixtures:
-            raise ConfigError(f"fixture key {key!r} not in {_fixtures_path(cfg)}")
+            raise ConfigError(f"fixture key {key!r} not in {fixtures_path(cfg.get('fixtures'))}")
         return float(fixtures[key])
     return float(value)
 
@@ -247,6 +243,9 @@ def _inline_function(spec: str, span: float, step: float) -> GridFunction1D:
     Indicator edges that land on grid nodes get the midpoint value 1/2,
     which keeps the sampled jump centred and the quadrature second order.
     """
+    for name, value in (("span", span), ("step", step)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"inline grid {name} must be finite and positive, got {value!r}")
     parts = spec.split(":")
     n = int(round(2.0 * span / step)) + 1
     xs = -span + step * np.arange(n)
@@ -575,7 +574,7 @@ def _run(name: str, run, defaults: dict, args) -> int:
             "version": __version__,
             "subcommand": name,
             "seed": cfg.get("seed"),
-            "fixtures": str(_fixtures_path(cfg)),
+            "fixtures": str(fixtures_path(cfg.get("fixtures"))),
             "config": cfg,
             # where the run is written is not part of what it computes
             "config_hash": hashlib.sha256(

@@ -17,8 +17,7 @@ point for every failed condition.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "LogGrid",
     "BUILTIN_FAMILIES",
     "builtin_curve",
-    "eval_curve",
     "check_conditions",
 ]
 
@@ -173,7 +171,7 @@ class CurveConstants:
     c4: float  # sup t gamma'/gamma
 
     def to_dict(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2, "c3": self.c3, "c4": self.c4}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,7 @@ class ConditionVerdict:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "witness_t": self.witness_t, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -200,11 +198,7 @@ class LogGrid:
         return 2.0 ** exps
 
     def to_dict(self) -> dict:
-        return {
-            "lo_exp": self.lo_exp,
-            "hi_exp": self.hi_exp,
-            "per_octave": self.per_octave,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -286,11 +280,6 @@ def builtin_curve(family: str, alpha: Optional[float] = None) -> Curve:
     raise ValueError(
         f"unknown curve family {family!r}; choose from {', '.join(BUILTIN_FAMILIES)}"
     )
-
-
-def eval_curve(curve: Curve, t, order: int = 0):
-    """Parity-extended derivative evaluation (thin wrapper over Curve.deriv)."""
-    return curve.deriv(t, order)
 
 
 def _ratio_derivative(curve: Curve, t: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Optional
+from typing import Optional
 
-__all__ = ["fixtures_path", "load_fixtures", "fixture_value"]
+__all__ = ["fixtures_path", "load_fixtures"]
 
 _PACKAGED = pathlib.Path(__file__).resolve().parent / "data" / "thresholds.json"
 
@@ -27,15 +27,3 @@ def load_fixtures(path: Optional[str] = None) -> dict:
     with open(fixtures_path(path), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
-
-def fixture_value(*keys: str, fixtures: Optional[dict] = None) -> Any:
-    """Walk nested keys; raise a readable error when a fixture is missing."""
-    node: Any = fixtures if fixtures is not None else load_fixtures()
-    for k in keys:
-        if not isinstance(node, dict) or k not in node:
-            raise KeyError(
-                f"fixture {'/'.join(keys)} not found (stopped at {k!r}); "
-                "regenerate or point CURVEFLOW_FIXTURES at a complete file"
-            )
-        node = node[k]
-    return node

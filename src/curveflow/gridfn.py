@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CoverageError, NonFiniteError
+from .errors import NonFiniteError
 
 __all__ = [
     "GridFunction1D",
@@ -83,16 +83,8 @@ class GridFunction1D:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def x_max(self) -> float:
-        return self.origin + self.step * (self.n - 1)
-
     def xs(self) -> np.ndarray:
         return self.origin + self.step * np.arange(self.n)
-
-    def covers(self, lo: float, hi: float, tol: float = 1e-12) -> bool:
-        pad = tol * (1.0 + abs(lo) + abs(hi))
-        return self.origin <= lo + pad and self.x_max >= hi - pad
 
     def sample(self, x) -> np.ndarray:
         """Linear interpolation with zero extension outside the grid."""
@@ -127,29 +119,11 @@ class GridFunction2D:
     def n2(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def x1_max(self) -> float:
-        return self.x1_origin + self.h1 * (self.n1 - 1)
-
-    @property
-    def x2_max(self) -> float:
-        return self.x2_origin + self.h2 * (self.n2 - 1)
-
     def x1s(self) -> np.ndarray:
         return self.x1_origin + self.h1 * np.arange(self.n1)
 
     def x2s(self) -> np.ndarray:
         return self.x2_origin + self.h2 * np.arange(self.n2)
-
-    def covers(self, lo1, hi1, lo2, hi2, tol: float = 1e-12) -> bool:
-        pad1 = tol * (1.0 + abs(lo1) + abs(hi1))
-        pad2 = tol * (1.0 + abs(lo2) + abs(hi2))
-        return (
-            self.x1_origin <= lo1 + pad1
-            and self.x1_max >= hi1 - pad1
-            and self.x2_origin <= lo2 + pad2
-            and self.x2_max >= hi2 - pad2
-        )
 
     def sample(self, x1, x2) -> np.ndarray:
         """Bilinear interpolation with zero extension outside the grid."""
@@ -212,6 +186,8 @@ class ModulationField:
 
     @staticmethod
     def from_grid(gf: GridFunction1D) -> "ModulationField":
+        if not isinstance(gf, GridFunction1D):
+            raise ValueError(f"a modulation grid must be 1D, got {type(gf).__name__}")
         _require_finite(gf.values, "modulation grid")
         return ModulationField(kind="grid", grid=gf)
 
@@ -228,16 +204,6 @@ class ModulationField:
             # modulation must stay defined: clamp to edge values, never zero-fill
             return np.interp(x, self.grid.xs(), self.grid.values.real)
         raise ValueError(f"unknown modulation kind {self.kind!r}")
-
-    @property
-    def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "piecewise":
-            return bool(np.all(self.levels == self.levels[0]))
-        if self.kind == "polynomial":
-            return bool(np.all(self.coeffs[1:] == 0.0))
-        return False
 
 
 def write_grid_function(path: str, f: Union[GridFunction1D, GridFunction2D], fmt: Optional[str] = None) -> None:

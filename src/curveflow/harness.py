@@ -25,7 +25,7 @@ import math
 import platform
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -252,14 +252,7 @@ class ExperimentReport:
     environment: dict = field(default_factory=_environment_stamp)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "per_sample": self.per_sample,
-            "aggregate": self.aggregate,
-            "verdicts": self.verdicts,
-            "environment": self.environment,
-        }
+        return asdict(self)
 
     def core_dict(self) -> dict:
         """Everything except the environment stamp (the deterministic part)."""

@@ -14,7 +14,7 @@ van_der_corput_check sum by one chunked midpoint rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -163,16 +163,7 @@ class SampleEstimate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "h": self.h,
-            "s": self.s,
-            "case": self.case,
-            "lhs": self.lhs,
-            "shape": self.shape,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

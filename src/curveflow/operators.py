@@ -22,7 +22,9 @@ Kernel memo: the 1D grouped operators (carleson_apply, truncated_piece_apply
 and both channels of low_split_apply) build their kernels in module-level
 functions of hashable arguments only, keyed on (curve, v, cfg, step),
 (curve, v, k, step) and (curve, v, cfg, step) respectively, and keep them in
-one least-recently-used memo of at most _KERNEL_MEMO_BYTES kernel bytes.  A
+one least-recently-used memo of at most _KERNEL_MEMO_BYTES kernel bytes.
+maximal_truncated_hilbert takes each octave shell [a, b] from the same
+builder as carleson_apply, at v = 0 with the range (a, b).  A
 hit returns the arrays the first build made, marked read-only, so results
 are bit-identical to a fresh build.  Curve equality compares the derivative
 callables by identity: two separately built curves never share an entry.
@@ -56,10 +58,8 @@ from .gridfn import GridFunction1D, GridFunction2D, ModulationField, _axes, _req
 
 __all__ = [
     "PVConfig",
-    "ShiftedInterval",
     "carleson_apply",
     "hilbert_variable_apply",
-    "directional_hilbert_apply",
     "truncated_piece_apply",
     "annulus_piece_apply",
     "low_split_apply",
@@ -99,35 +99,6 @@ class PVConfig:
 
     def refined(self, factor: float = 2.0) -> "PVConfig":
         return PVConfig(self.epsilon / factor, self.radius, self.substep / factor)
-
-
-@dataclass(frozen=True)
-class ShiftedInterval:
-    """Interval [a, b] with its two-piece shifted set at parameter sigma."""
-
-    a: float
-    b: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("need a < b")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    def pieces(self) -> tuple:
-        d = self.sigma * self.length
-        return ((self.a - d, self.b - d), (self.a + d, self.b + d))
-
-    def shifted_measure(self) -> float:
-        (l1, r1), (l2, r2) = self.pieces()
-        if l2 <= r1:  # overlapping (sigma <= 1/2): one interval
-            return r2 - l1
-        return (r1 - l1) + (r2 - l2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +330,19 @@ def _carleson_plans(curve: Curve, v: float, cfg: PVConfig):
     return _octave_plans(cfg.epsilon, cfg.radius, cfg.substep, rate)
 
 
-def _carleson_weights(curve: Curve, v: float):
+@_kernel_memo
+def _carleson_kernel(curve: Curve, v: float, cfg: PVConfig, step: float):
+    """carleson_apply's kernel and reach for the group at modulation v, and
+    at v = 0 one octave shell of maximal_truncated_hilbert."""
+    plans, _ = _carleson_plans(curve, v, cfg)
+    M = int(math.ceil(cfg.radius / step)) + 1
+
     def weights(t, w):
         plus = w * _phase_factor(curve, v, t) / t
         minus = -plus if curve.parity == "even" else -w * _phase_factor(curve, v, -t) / t
         return [(plus, minus)]
 
-    return weights
-
-
-@_kernel_memo
-def _carleson_kernel(curve: Curve, v: float, cfg: PVConfig, step: float):
-    """carleson_apply's kernel and reach for the group at modulation v."""
-    plans, _ = _carleson_plans(curve, v, cfg)
-    M = int(math.ceil(cfg.radius / step)) + 1
-    return tuple(_assemble(plans, (step,), (M,), _carleson_weights(curve, v))), (M,)
+    return tuple(_assemble(plans, (step,), (M,), weights)), (M,)
 
 
 def _carleson_direct(
@@ -427,9 +396,7 @@ def maximal_truncated_hilbert(
     a, M = cfg.epsilon, -1  # the last (widest) shell sets the silence reach
     while a < cfg.radius:
         b = min(2.0 * a, cfg.radius)
-        plans, _ = _octave_plans(a, b, cfg.substep)
-        M = int(math.ceil(b / f.step)) + 1
-        (kernel,) = _assemble(plans, (f.step,), (M,), _carleson_weights(_LINE, 0.0))
+        (kernel,), (M,) = _carleson_kernel(_LINE, 0.0, PVConfig(a, b, cfg.substep), f.step)
         shells.append(_convolve(f.values, kernel, (M,)))
         a = b
     cum = np.zeros((len(shells) + 1, f.n), dtype=np.complex128)
@@ -477,20 +444,6 @@ def hilbert_variable_apply(
 
     (out,) = _apply_groups(f.values, _group_by_value(u_vals), build)
     return f.with_values(out)
-
-
-def directional_hilbert_apply(
-    f: GridFunction2D,
-    lam: float,
-    curve: Curve,
-    cfg: PVConfig,
-    *,
-    strict: bool = False,
-) -> GridFunction2D:
-    """Fixed-direction case: identical code path to the variable transform."""
-    return hilbert_variable_apply(
-        f, ModulationField.constant(lam), curve, cfg, strict=strict
-    )
 
 
 # ---------------------------------------------------------------------------

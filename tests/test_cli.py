@@ -256,6 +256,25 @@ def test_non_finite_modulation_exits_2(capsys):
     assert "NaN or inf" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--step", "0"), ("--step", "-0.01"), ("--span", "nan")],
+                         ids=["step-zero", "step-negative", "span-nan"])
+def test_inline_grid_refuses_bad_span_or_step(capsys, flag, value):
+    code, _, err = run_cli(capsys, "carleson", "--f", "gauss:0:1", flag, value)
+    assert code == 2
+    assert f"inline grid {flag[2:]} must be finite and positive" in err
+
+
+def test_modulation_grid_file_must_be_1d(tmp_path, capsys):
+    g = tmp_path / "u2d.csv"
+    write_grid_function(str(g), GridFunction2D(-1.0, 0.5, -1.0, 0.5, np.ones((5, 5))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": {"kind": "grid", "path": str(g)}}))
+    for argv in (["--u", f"grid:{g}"], ["--config", str(cfg)]):
+        code, _, err = run_cli(capsys, "carleson", "--f", "indicator:-1:1", *argv)
+        assert code == 2
+        assert "must be 1D, got GridFunction2D" in err
+
+
 # every subcommand at its defaults; the two transforms need an input and
 # are the two that take --no-strict
 ALL_SUBCOMMANDS = {

@@ -10,54 +10,53 @@ from curveflow.curves import (
     LogGrid,
     builtin_curve,
     check_conditions,
-    eval_curve,
 )
-from curveflow.fixtures import fixture_value
+from curveflow.fixtures import load_fixtures
 
 
 def test_power_eval_trivial():
     even = builtin_curve("power", 2.0)
-    assert eval_curve(even, 3.0, 0) == 9.0
-    assert eval_curve(even, -3.0, 0) == 9.0
+    assert even.deriv(3.0, 0) == 9.0
+    assert even.deriv(-3.0, 0) == 9.0
     odd = builtin_curve("power_odd", 2.0)
-    assert eval_curve(odd, -3.0, 0) == -9.0
+    assert odd.deriv(-3.0, 0) == -9.0
 
 
 def test_power_derivative_orders():
     c = builtin_curve("power", 2.0)
-    assert eval_curve(c, 3.0, 1) == 6.0
-    assert eval_curve(c, 3.0, 2) == 2.0
-    assert eval_curve(c, 3.0, 3) == 0.0
+    assert c.deriv(3.0, 1) == 6.0
+    assert c.deriv(3.0, 2) == 2.0
+    assert c.deriv(3.0, 3) == 0.0
     # zero-coefficient guard: order 3 of t^2 must not produce NaN at small t
-    assert eval_curve(c, 1e-200, 3) == 0.0
+    assert c.deriv(1e-200, 3) == 0.0
 
 
 def test_eval_at_zero():
     c = builtin_curve("power", 1.5)
-    assert eval_curve(c, 0.0, 0) == 0.0
-    assert eval_curve(c, 0.0, 1) == 0.0
+    assert c.deriv(0.0, 0) == 0.0
+    assert c.deriv(0.0, 1) == 0.0
     with pytest.raises(ValueError):
-        eval_curve(c, 0.0, 2)
+        c.deriv(0.0, 2)
 
 
 def test_bad_order_rejected():
     c = builtin_curve("power", 2.0)
     with pytest.raises(ValueError):
-        eval_curve(c, 1.0, 4)
+        c.deriv(1.0, 4)
     with pytest.raises(ValueError):
-        eval_curve(c, 1.0, -1)
+        c.deriv(1.0, -1)
 
 
 def test_overflow_raises():
     c = builtin_curve("power", 3.0)
     with pytest.raises(OverflowError):
-        eval_curve(c, 1e200, 0)
+        c.deriv(1e200, 0)
 
 
 def test_t2log_values():
     c = builtin_curve("t2log")
-    assert eval_curve(c, 1.0, 0) == pytest.approx(math.log(2.0), rel=1e-14)
-    assert eval_curve(c, 1.0, 1) == pytest.approx(2.0 * math.log(2.0) + 0.5, rel=1e-14)
+    assert c.deriv(1.0, 0) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert c.deriv(1.0, 1) == pytest.approx(2.0 * math.log(2.0) + 0.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("fam,alpha", [("t2log", None), ("int_power_log", 2.5)])
@@ -67,20 +66,20 @@ def test_closed_form_derivatives_match_finite_differences(fam, alpha, order):
     rng = np.random.default_rng(7)
     for t in rng.uniform(0.1, 50.0, size=12):
         h = t * 1e-6
-        fd = (eval_curve(c, t + h, order - 1) - eval_curve(c, t - h, order - 1)) / (2 * h)
-        assert eval_curve(c, t, order) == pytest.approx(fd, rel=2e-7, abs=1e-12)
+        fd = (c.deriv(t + h, order - 1) - c.deriv(t - h, order - 1)) / (2 * h)
+        assert c.deriv(t, order) == pytest.approx(fd, rel=2e-7, abs=1e-12)
 
 
 def test_int_power_log_first_derivative():
     c = builtin_curve("int_power_log", 2.0)
-    assert eval_curve(c, 1.0, 1) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert c.deriv(1.0, 1) == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 def test_int_power_log_antiderivative_against_quad():
     c = builtin_curve("int_power_log", 2.0)
     for t in (0.3, 1.0, 7.5, 100.0):
         ref = quad(lambda s: s * s * np.log1p(s), 0.0, t, limit=200)[0]
-        assert eval_curve(c, t, 0) == pytest.approx(ref, rel=1e-10)
+        assert c.deriv(t, 0) == pytest.approx(ref, rel=1e-10)
 
 
 def test_unknown_family_and_alpha_validation():
@@ -123,7 +122,7 @@ def test_power_alpha_one_fails_condition_iii():
 def test_transcendental_families_pass_with_frozen_constants(fam, alpha, key):
     report = check_conditions(builtin_curve(fam, alpha))
     assert report.all_pass
-    frozen = fixture_value("curve_constants", key)
+    frozen = load_fixtures()["curve_constants"][key]
     for name in ("c1", "c2", "c3", "c4"):
         assert getattr(report.constants, name) == pytest.approx(frozen[name], rel=1e-6)
 
@@ -163,12 +162,12 @@ def test_parity_signs(t, order):
     even = builtin_curve("t2log")
     odd = builtin_curve("int_power_log", 2.0)
     s_even = 1.0 if order % 2 == 0 else -1.0
-    assert eval_curve(even, -t, order) == pytest.approx(
-        s_even * eval_curve(even, t, order), rel=1e-12, abs=1e-300
+    assert even.deriv(-t, order) == pytest.approx(
+        s_even * even.deriv(t, order), rel=1e-12, abs=1e-300
     )
     s_odd = -s_even
-    assert eval_curve(odd, -t, order) == pytest.approx(
-        s_odd * eval_curve(odd, t, order), rel=1e-12, abs=1e-300
+    assert odd.deriv(-t, order) == pytest.approx(
+        s_odd * odd.deriv(t, order), rel=1e-12, abs=1e-300
     )
 
 
@@ -177,4 +176,4 @@ def test_vectorized_eval_matches_scalar():
     ts = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     vec = c.deriv(ts, 1)
     for i, t in enumerate(ts):
-        assert vec[i] == pytest.approx(eval_curve(c, float(t), 1), rel=1e-14, abs=0.0)
+        assert vec[i] == pytest.approx(c.deriv(float(t), 1), rel=1e-14, abs=0.0)

@@ -55,15 +55,6 @@ def test_sample_bilinear_interpolation():
     assert f.sample(0.5, 1.2) == 0.0
 
 
-def test_covers():
-    f = make1d()
-    assert f.covers(-2.0, 2.0)
-    assert not f.covers(-2.1, 2.0)
-    g = make2d()
-    assert g.covers(-1.0, 1.0, 0.0, 3.0)
-    assert not g.covers(-1.0, 1.0, 0.0, 3.5)
-
-
 @pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("binary", ".cfgf")])
 def test_roundtrip_1d(tmp_path, fmt, suffix):
     f = make1d()
@@ -220,10 +211,8 @@ def test_csv_header_shape(tmp_path):
 def test_modulation_constant_and_polynomial():
     u = ModulationField.constant(3.0)
     assert np.all(u.eval(np.array([-5.0, 0.0, 7.0])) == 3.0)
-    assert u.is_constant
     p = ModulationField.polynomial([1.0, 2.0, 1.0])  # 1 + 2x + x^2
     assert p.eval(2.0) == pytest.approx(9.0)
-    assert not p.is_constant
 
 
 def test_modulation_piecewise():
@@ -254,3 +243,8 @@ def test_modulation_from_grid_clamps_edges():
     assert u.eval(0.5) == pytest.approx(3.0)
     assert u.eval(-10.0) == pytest.approx(2.0)
     assert u.eval(10.0) == pytest.approx(6.0)
+
+
+def test_modulation_from_grid_refuses_a_2d_grid():
+    with pytest.raises(ValueError, match="must be 1D, got GridFunction2D"):
+        ModulationField.from_grid(make2d())

@@ -11,13 +11,11 @@ from scipy.ndimage import maximum_filter1d
 from curveflow.curves import Curve, builtin_curve
 from curveflow.dyadic import frequency_index, make_bump
 from curveflow.errors import CoverageError, NonFiniteError
-from curveflow.gridfn import GridFunction1D, GridFunction2D, ModulationField
+from curveflow.gridfn import GridFunction1D, GridFunction2D, ModulationField, _axes
 from curveflow.operators import (
     PVConfig,
-    ShiftedInterval,
     annulus_piece_apply,
     carleson_apply,
-    directional_hilbert_apply,
     hilbert_variable_apply,
     hl_maximal,
     low_split_apply,
@@ -61,18 +59,6 @@ def test_pvconfig_validation():
         PVConfig(1e-4, 1.0, 2e-4)
     r = PVConfig(1e-2, 4.0, 1e-2).refined()
     assert r.epsilon == 5e-3 and r.substep == 5e-3 and r.radius == 4.0
-
-
-def test_shifted_interval():
-    si = ShiftedInterval(0.0, 1.0, 10.0)
-    assert si.pieces() == ((-10.0, -9.0), (10.0, 11.0))
-    assert si.shifted_measure() == 2.0
-    assert ShiftedInterval(0.0, 1.0, 0.25).shifted_measure() == 1.5
-    assert ShiftedInterval(0.0, 2.0, 0.0).shifted_measure() == 2.0
-    with pytest.raises(ValueError):
-        ShiftedInterval(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ShiftedInterval(0.0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +170,15 @@ def test_directional_matches_rescaled_curve():
     )
     f = make_2d(101, 0.04, -2.0, 201, 0.05, -5.0, lambda a, b: np.exp(-a**2 - (b / 2.0) ** 2))
     cfg = PVConfig(1e-3, 1.0, 1e-3)
-    via_lambda = directional_hilbert_apply(f, 2.0, builtin_curve("power", 2.0), cfg)
-    via_curve = directional_hilbert_apply(f, 1.0, double, cfg)
+    via_lambda = hilbert_variable_apply(f, ModulationField.constant(2.0), builtin_curve("power", 2.0), cfg)
+    via_curve = hilbert_variable_apply(f, ModulationField.constant(1.0), double, cfg)
     assert np.allclose(via_lambda.values, via_curve.values, atol=1e-10)
 
 
 def test_directional_zero_is_the_plain_row_transform():
     f = make_2d(64, 0.05, -1.6, 96, 0.1, -4.8, lambda a, b: np.exp(-a**2 - b**2))
     cfg = PVConfig(1e-2, 1.0, 1e-2)
-    a = directional_hilbert_apply(f, 0.0, builtin_curve("power", 2.0), cfg)
+    a = hilbert_variable_apply(f, ModulationField.constant(0.0), builtin_curve("power", 2.0), cfg)
     b = hilbert_variable_apply(f, ModulationField.constant(0.0), builtin_curve("t2log"), cfg)
     assert np.array_equal(a.values, b.values)
 
@@ -405,7 +391,6 @@ PUBLIC_OPERATORS = {
     "hl_maximal_aligned": lambda f: hl_maximal(f, "aligned"),
     "shifted_maximal": lambda f: shifted_maximal(f, 0.7),
     "hilbert_variable_apply": lambda f: hilbert_variable_apply(f, ModulationField.constant(0.7), GROUP_CURVE, CFG_2D),
-    "directional_hilbert_apply": lambda f: directional_hilbert_apply(f, 0.7, GROUP_CURVE, CFG_2D),
     "annulus_piece_apply": lambda f: annulus_piece_apply(f, ModulationField.constant(0.7), GROUP_CURVE, 0, 0),
 }
 
@@ -413,8 +398,7 @@ PUBLIC_OPERATORS = {
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 @pytest.mark.parametrize("name", sorted(PUBLIC_OPERATORS))
 def test_operators_refuse_non_finite_input(name, bad):
-    f, _, _ = grouped_input(name in ("hilbert_variable_apply", "directional_hilbert_apply",
-                                     "annulus_piece_apply"))
+    f, _, _ = grouped_input(name in ("hilbert_variable_apply", "annulus_piece_apply"))
     PUBLIC_OPERATORS[name](f)  # the finite input is accepted
     vals = f.values.copy()
     vals.flat[vals.size // 3] = bad
@@ -662,8 +646,8 @@ def test_strict_coverage_2d_checks_both_axes(apply, p1, p2, refused):
     # one (lo, hi) per axis, each reaching past its edge of the grid
     extent = exc.value.missing_extent
     assert len(extent) == 2
-    for (lo, hi), (origin, top) in zip(extent, [(f.x1_origin, f.x1_max), (f.x2_origin, f.x2_max)]):
-        assert lo < origin and hi > top
+    for (lo, hi), (o, h, n) in zip(extent, _axes(f)):
+        assert lo < o and hi > o + h * (n - 1)
     assert " x " in str(exc.value)
 
 
@@ -707,13 +691,21 @@ def same(xs, ys):
     return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
 
 
-@pytest.mark.parametrize("name", sorted(MEMO_OPERATORS))
+# the maximal truncation reads one memo entry per octave shell of MEMO_CFG
+MEMO_READERS = {
+    **{name: (apply, 1) for name, apply in MEMO_OPERATORS.items()},
+    "maximal_truncated_hilbert": (lambda f, v, c, cfg, k: [maximal_truncated_hilbert(f, cfg).values], 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_READERS))
 def test_memo_hit_equals_fresh_build(name, memo):
-    apply, args = MEMO_OPERATORS[name], memo_base()
+    (apply, reads), args = MEMO_READERS[name], memo_base()
     first = apply(**args)
+    assert len(memo.entries) == reads
     hits = memo.hits
     again = apply(**args)
-    assert memo.hits == hits + 1
+    assert memo.hits == hits + reads
     assert same(again, first) and same(again, fresh(apply, args))
 
 
