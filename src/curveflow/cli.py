@@ -1,11 +1,13 @@
 """Command-line front end.
 
 One executable, one subcommand per experiment.  Every run can be driven
-from a JSON config file (validated against ``data/config_schema.json``);
-command-line flags override config fields.  Exit status: 0 when every
-verdict passes, 1 when a verdict fails (the failing invariant is named on
-stdout), 2 on usage or configuration errors and on input with NaN or inf
-samples.
+from a JSON config file; command-line flags override config fields, which
+override the subcommand's defaults.  Every value, a default, a config field
+or a flag, is checked once against the packaged ``data/config_schema.json``
+after the merge, and a value outside the schema exits 2.  Exit status: 0
+when every verdict passes, 1 when a verdict fails (the failing invariant is
+named on stdout), 2 on usage or configuration errors and on input with NaN
+or inf samples.
 
 One command table (``_COMMANDS``) declares every subcommand: its name,
 handler, help text, defaults and extra flags.  ``build_parser`` reads the
@@ -41,12 +43,8 @@ import sys
 import time
 from typing import Optional
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__
 from .curves import Curve, builtin_curve, check_conditions
@@ -117,11 +115,6 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    if jsonschema is not None:
-        # the error jsonschema.validate would raise
-        e = jsonschema.exceptions.best_match(_schema_validator().iter_errors(cfg))
-        if e is not None:
-            raise ConfigError(f"config rejected by schema: {e.message}") from e
     return cfg
 
 
@@ -134,21 +127,20 @@ def _schema_validator():
 
 
 def _merged(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags, checked once against the schema."""
     cfg = dict(defaults)
     cfg.update(_load_config(getattr(args, "config", None)))
     for key, val in vars(args).items():
         if key in ("func", "config", "command") or val is None:
             continue
         cfg[key] = val
+    # the error jsonschema.validate would raise
+    e = jsonschema.exceptions.best_match(_schema_validator().iter_errors(cfg))
+    if e is not None:
+        field = ".".join(map(str, e.absolute_path))
+        raise ConfigError(f"config rejected by schema: {field + ': ' if field else ''}"
+                          f"{e.message}") from e
     return cfg
-
-
-def _load_fixtures(cfg: dict) -> dict:
-    path = fixtures_path(cfg.get("fixtures"))
-    if not path.is_file():
-        raise ConfigError(f"thresholds fixture not found: {path}")
-    return load_fixtures(cfg.get("fixtures"))
 
 
 def _resolve_gate(value, cfg: dict):
@@ -156,10 +148,8 @@ def _resolve_gate(value, cfg: dict):
     if value is None:
         return None
     if isinstance(value, str):
-        if not value.startswith("fixtures:"):
-            raise ConfigError(f"gate must be a number or 'fixtures:<key>', got {value!r}")
         key = value.split(":", 1)[1]
-        fixtures = _load_fixtures(cfg)
+        fixtures = load_fixtures(cfg.get("fixtures"))
         if key not in fixtures:
             raise ConfigError(f"fixture key {key!r} not in {fixtures_path(cfg.get('fixtures'))}")
         return float(fixtures[key])
@@ -167,16 +157,11 @@ def _resolve_gate(value, cfg: dict):
 
 
 def _curve_from(cfg: dict) -> Curve:
-    spec = cfg.get("curve", {"family": "power", "alpha": 2.0})
+    spec = cfg.get("curve", _PARABOLA)
     if isinstance(spec, str):
-        spec = {"family": spec, "alpha": cfg.get("alpha")}
-    fam = spec.get("family")
-    alpha = spec.get("alpha")
-    if cfg.get("alpha") is not None:
-        alpha = cfg["alpha"]
-    if fam is None:
-        raise ConfigError("curve spec needs a 'family'")
-    return builtin_curve(fam, alpha)
+        spec = {"family": spec}
+    alpha = cfg["alpha"] if cfg.get("alpha") is not None else spec.get("alpha")
+    return builtin_curve(spec["family"], alpha)
 
 
 def _pv_from(cfg: dict) -> PVConfig:
@@ -204,37 +189,34 @@ def _family_from(cfg: dict, key: str = "family") -> TestFunctionFamily:
         raise ConfigError(f"bad family block: {e}") from e
 
 
+# each kind:params string stands for one modulation config object
+_MODULATION_STRINGS = {
+    "const": lambda rest: {"kind": "constant", "value": float(rest)},
+    "poly": lambda rest: {"kind": "polynomial", "coeffs": [float(c) for c in rest.split(",")]},
+    "steps": lambda rest: {**json.loads(pathlib.Path(rest).read_text()), "kind": "piecewise"},
+    "grid": lambda rest: {"kind": "grid", "path": rest},
+}
+_MODULATION_KINDS = {
+    "constant": lambda spec: ModulationField.constant(spec["value"]),
+    "piecewise": lambda spec: ModulationField.piecewise(spec["breakpoints"], spec["levels"]),
+    "polynomial": lambda spec: ModulationField.polynomial(spec["coeffs"]),
+    "grid": lambda spec: ModulationField.from_grid(read_grid_function(spec["path"])),
+}
+
+
 def _modulation_from(spec) -> ModulationField:
-    if isinstance(spec, ModulationField):
-        return spec
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "constant":
-            return ModulationField.constant(spec["value"])
-        if kind == "piecewise":
-            return ModulationField.piecewise(spec["breakpoints"], spec["levels"])
-        if kind == "polynomial":
-            return ModulationField.polynomial(spec["coeffs"])
-        if kind == "grid":
-            return ModulationField.from_grid(read_grid_function(spec["path"]))
-        raise ConfigError(f"unknown modulation kind {kind!r}")
-    txt = str(spec)
-    kind, sep, rest = txt.partition(":")
-    if not sep:
-        raise ConfigError(f"modulation spec needs 'kind:params', got {txt!r}")
+    """A modulation from its config object or from a kind:params string."""
     try:
-        if kind == "const":
-            return ModulationField.constant(float(rest))
-        if kind == "poly":
-            return ModulationField.polynomial([float(c) for c in rest.split(",")])
-        if kind == "steps":
-            data = json.loads(pathlib.Path(rest).read_text())
-            return ModulationField.piecewise(data["breakpoints"], data["levels"])
-        if kind == "grid":
-            return ModulationField.from_grid(read_grid_function(rest))
-    except (ValueError, OSError, KeyError) as e:
-        raise ConfigError(f"bad modulation spec {txt!r}: {e}") from e
-    raise ConfigError(f"unknown modulation kind {kind!r} in {txt!r}")
+        obj = spec
+        if isinstance(spec, str):
+            kind, _, rest = spec.partition(":")
+            if kind not in _MODULATION_STRINGS:
+                raise ValueError("want const:V, poly:c0,c1..., steps:FILE or grid:FILE")
+            obj = _MODULATION_STRINGS[kind](rest)
+        return _MODULATION_KINDS[obj["kind"]](obj)
+    except (ValueError, OSError, KeyError, TypeError) as e:
+        detail = f"missing field {e}" if isinstance(e, KeyError) else e
+        raise ConfigError(f"bad modulation spec {spec!r}: {detail}") from e
 
 
 def _inline_function(spec: str, span: float, step: float) -> GridFunction1D:
@@ -315,8 +297,8 @@ def _check_curve(cfg):
 
 def _bump_check(cfg):
     lo, hi = float(cfg["lo"]), float(cfg["hi"])
-    if not 0 < lo < hi:
-        raise ConfigError("need 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError("need 0 < lo < hi < inf")
     bump = make_bump()
     ts = np.geomspace(lo, hi, int(cfg["points"]))
     l_min = int(math.floor(math.log2(lo))) - 2
@@ -534,8 +516,6 @@ def _geometry(cfg):
 def _dominate(cfg):
     curve, fam, u = _curve_from(cfg), _family_from(cfg), _modulation_from(cfg["u"])
     tau_hi = int(cfg["tau_hi"])
-    if tau_hi < 0:
-        raise ConfigError("tau_hi must be nonnegative")
     rep = domination_experiment(curve, u, fam, [int(k) for k in cfg["k_list"]],
                                 int(cfg["l"]), range(-tau_hi, tau_hi + 1),
                                 m_cap=int(cfg["m_cap"]), strict=bool(cfg["strict"]))

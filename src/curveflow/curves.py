@@ -222,17 +222,8 @@ class CurveReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "condition_i": self.condition_i.to_dict(),
-            "condition_ii": self.condition_ii.to_dict(),
-            "condition_iii": self.condition_iii.to_dict(),
-            "condition_iv": self.condition_iv.to_dict(),
-            "constants": self.constants.to_dict(),
-            "grid": self.grid.to_dict(),
-            "origin_values": list(self.origin_values),
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "origin_values": list(self.origin_values),
+                "all_pass": self.all_pass}
 
 
 def builtin_curve(family: str, alpha: Optional[float] = None) -> Curve:

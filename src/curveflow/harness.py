@@ -350,14 +350,8 @@ class DecayFit:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "k_values": list(self.k_values),
-            "log2_ratios": list(self.log2_ratios),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "note": self.note,
-        }
+        return {**asdict(self), "k_values": list(self.k_values),
+                "log2_ratios": list(self.log2_ratios)}
 
 
 def fit_decay(k_values: Sequence[int], ratios: Sequence[float]) -> DecayFit:
@@ -606,22 +600,9 @@ class ShiftGeometry:
         return 1.0 / (self.N_k * self.interval_length)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "n_l": self.n_l,
-            "N_k": self.N_k,
-            "tau": self.tau,
-            "u_abs": self.u_abs,
-            "v": self.v,
-            "scale": self.scale,
-            "interval_length": self.interval_length,
-            "bracket": list(self.bracket),
-            "m_indices": self.m_indices.tolist(),
-            "J_lengths": self.J_lengths.tolist(),
-            "sigma_values": self.sigma_values.tolist(),
-            "c1": self.c1,
-        }
+        return {**asdict(self), "bracket": list(self.bracket),
+                "m_indices": self.m_indices.tolist(), "J_lengths": self.J_lengths.tolist(),
+                "sigma_values": self.sigma_values.tolist()}
 
 
 def covering_geometry(
@@ -701,15 +682,6 @@ def covering_geometry(
 # domination by shifted maximal averages
 
 
-def _runs(idx: np.ndarray) -> List[Tuple[int, int, int]]:
-    """(position, first value, length) of each run of consecutive values in
-    the increasing index array idx."""
-    cuts = np.flatnonzero(np.diff(idx) != 1) + 1
-    starts = np.concatenate(([0], cuts))
-    stops = np.concatenate((cuts, [idx.size]))
-    return [(int(a), int(idx[a]), int(b - a)) for a, b in zip(starts, stops)]
-
-
 def domination_experiment(
     curve: Curve,
     u: ModulationField,
@@ -749,6 +721,7 @@ def domination_experiment(
         pf = project(f, l)
         pabs = np.abs(pf.values)
         prefix = _prefix_sums(pabs)
+        n1, n2 = pabs.shape
         groups = _group_by_value(np.asarray(u.eval(f.x1s()), dtype=float))
         for k in k_list:
             lhs = np.abs(annulus_piece_apply(pf, u, curve, k, l, strict=strict).values)
@@ -763,8 +736,15 @@ def domination_experiment(
                 g_pos = np.asarray(curve.deriv(pos, 0, check=False), dtype=float)
                 n_t = max(1, min(3, int(ilen / f.h1)))
                 offs = (np.arange(n_t) + 0.5) / n_t * ilen
-                runs = _runs(ridx)
-                acc = np.zeros((ridx.size, lhs.shape[1]))
+                # piece j reads g2 at x1 -+ t for each of its n_t nodes t;
+                # rows read off the grid add nothing
+                shifts = []
+                for p_j in pos:
+                    ds = [int(round((p_j + off) / f.h1)) for off in offs]
+                    shifts.append([s for d in ds for s in (-d, d) if abs(s) < n1])
+                # a group of every row (constant |u|) reads piece as a view
+                sel = slice(None) if ridx.size == n1 else ridx
+                acc = np.zeros((ridx.size, n2))
                 peak = np.zeros_like(acc)
                 for tau in taus:
                     w_tau = (1.0 + abs(tau)) ** -4
@@ -772,19 +752,10 @@ def domination_experiment(
                     for j in range(m_sub.size):
                         sig = abs((geom.v * g_pos[j] + tau) / j_len[j])
                         g2 = _shifted_maximal_rows(pabs, sig, prefix)
-                        piece = np.zeros_like(acc)
-                        for off in offs:
-                            t_node = pos[j] + off
-                            delta = int(round(t_node / f.h1))
-                            for shift in (-delta, delta):
-                                for at, row, size in runs:
-                                    # rows read off the grid add nothing
-                                    lo = max(row + shift, 0)
-                                    hi = min(row + shift + size, g2.shape[0])
-                                    if lo < hi:
-                                        at_lo = at + lo - (row + shift)
-                                        piece[at_lo : at_lo + hi - lo] += g2[lo:hi]
-                        a_tau += piece / (n_t * m_sub.size)
+                        piece = np.zeros_like(g2)
+                        for s in shifts[j]:
+                            piece[max(-s, 0) : n1 - max(s, 0)] += g2[max(s, 0) : n1 - max(-s, 0)]
+                        a_tau += piece[sel] / (n_t * m_sub.size)
                     acc += w_tau * a_tau
                     np.maximum(peak, a_tau, out=peak)
                 rhs[ridx] = acc + tail * peak

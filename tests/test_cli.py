@@ -96,6 +96,12 @@ def test_bump_check_default_window(capsys):
     assert last_json(out)["max_deviation"] < 1e-10
 
 
+def test_bump_check_refuses_an_infinite_window(capsys):
+    code, _, err = run_cli(capsys, "bump-check", "--hi", "inf")
+    assert code == 2
+    assert "need 0 < lo < hi < inf" in err
+
+
 def test_geometry_worked_example(capsys):
     code, out, _ = run_cli(capsys, "geometry", "--curve", "power", "--alpha", "2",
                            "--u-abs", "1.0", "--l", "0", "--k", "0", "--tau", "0")
@@ -250,6 +256,13 @@ def test_lemma_check_missing_frozen_gate_exits_2(tmp_path, capsys, monkeypatch):
     assert "interval_count_max" in err
 
 
+def test_missing_fixtures_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nowhere.json"
+    code, _, err = run_cli(capsys, "shift-growth", "--fixtures", str(missing))
+    assert code == 2
+    assert str(missing) in err
+
+
 def test_non_finite_modulation_exits_2(capsys):
     code, _, err = run_cli(capsys, "carleson", "--f", "indicator:-1:1", "--u", "const:nan")
     assert code == 2
@@ -262,6 +275,37 @@ def test_inline_grid_refuses_bad_span_or_step(capsys, flag, value):
     code, _, err = run_cli(capsys, "carleson", "--f", "gauss:0:1", flag, value)
     assert code == 2
     assert f"inline grid {flag[2:]} must be finite and positive" in err
+
+
+# a flag outside the schema is a usage error, never a pass or a failed verdict
+@pytest.mark.parametrize("argv", [
+    ["lemma-check", "--draws", "0"],
+    ["bump-check", "--points", "3"],
+    ["bump-check", "--tol", "-1"],
+    ["kernel-decay", "--r1", "-1"],
+], ids=["draws-zero", "points-three", "tol-negative", "r1-negative"])
+def test_flags_outside_the_schema_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config rejected by schema" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise", "polynomial", "grid"])
+def test_modulation_object_without_its_field_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": {"kind": kind}}))
+    code, _, err = run_cli(capsys, "carleson", "--f", "indicator:-1:1", "--config", str(cfg))
+    assert code == 2
+    assert f"bad modulation spec {{'kind': '{kind}'}}: missing field" in err
+
+
+def test_modulation_steps_file_must_hold_an_object(tmp_path, capsys):
+    steps = tmp_path / "steps.json"
+    steps.write_text("[1, 2]")
+    code, _, err = run_cli(capsys, "carleson", "--f", "indicator:-1:1", "--u", f"steps:{steps}")
+    assert code == 2
+    assert f"bad modulation spec 'steps:{steps}'" in err
 
 
 def test_modulation_grid_file_must_be_1d(tmp_path, capsys):

@@ -456,14 +456,16 @@ def test_domination_zero_modulation_is_zero():
 
 def test_domination_smoke_bounded_ratios():
     fam = FnFamily("gaussians", 2, 23, ((-12.0, 12.0, 97), (-20.0, 20.0, 267)))
-    rep = domination_experiment(PARAB, ModulationField.constant(1.0), fam, [0, 1], 0,
-                                range(-2, 3), m_cap=16)
-    per_k = rep.aggregate["per_k_max"]
-    assert set(per_k) == {"0", "1"}
-    for v in per_k.values():
-        assert 0.0 < v < math.inf
-    assert rep.verdicts["zero_unbounded_points"] is True
-    assert rep.aggregate["tau_tail"] > 0.0
+    # piecewise [1, 2, 1] leaves the |u| = 1 rows in two runs, one each side
+    for u in (ModulationField.constant(1.0),
+              ModulationField.piecewise([-4.0, 4.0], [1.0, 2.0, 1.0])):
+        rep = domination_experiment(PARAB, u, fam, [0, 1], 0, range(-2, 3), m_cap=16)
+        per_k = rep.aggregate["per_k_max"]
+        assert set(per_k) == {"0", "1"}
+        for v in per_k.values():
+            assert 0.0 < v < math.inf
+        assert rep.verdicts["zero_unbounded_points"] is True
+        assert rep.aggregate["tau_tail"] > 0.0
 
 
 def test_domination_validation():
