@@ -41,6 +41,7 @@ __all__ = [
 
 _MAGIC = b"CFGF"
 _VERSION = 1
+_CSV_BLOCK = 65_536  # CSV rows formatted per write: bounds the text held at once
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -243,11 +244,15 @@ def _grid_function(axes, values) -> Union[GridFunction1D, GridFunction2D]:
 
 
 def _write_csv(path, f) -> None:
+    """Header, then each block of _CSV_BLOCK rows as one %-format and one write."""
     axes = _axes(f)
+    flat = f.values.reshape(-1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# grid{len(axes)}d " + " ".join(f"{o!r} {h!r} {n}" for o, h, n in axes) + "\n")
-        for z in f.values.reshape(-1):
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        for start in range(0, flat.size, _CSV_BLOCK):
+            block = flat[start:start + _CSV_BLOCK]
+            # '%.17g' % x is f"{x:.17g}" for every float, -0.0 and subnormals too
+            fh.write("%.17g,%.17g\n" * block.size % tuple(block.view(np.float64).tolist()))
 
 
 def _read_csv(path):

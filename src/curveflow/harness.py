@@ -622,8 +622,8 @@ def covering_geometry(
     [1.5, 2] * 2^{k+n_l} by construction; the sandwich is still re-verified
     within 4 ulp.
     """
-    if u_abs <= 0:
-        raise ValueError("u_abs must be positive")
+    if not 0 < u_abs < math.inf:
+        raise ValueError(f"u_abs must be positive and finite, got {u_abs}")
     if k < 0:
         raise ValueError("k must be >= 0")
     constants = _verified_constants(curve)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import Curve, LogGrid, check_conditions
 from .dyadic import make_bump
-from .errors import HypothesisError
+from .errors import HypothesisError, NonFiniteError
 
 __all__ = [
     "PhaseParams",
@@ -51,7 +51,8 @@ class PhaseParams:
     supplied indices have n_x > n_z the constructor swaps (n_x, u_x) with
     (n_z, u_z) and maps s -> -s * 2^(n_z - n_x), which leaves the kernel
     modulus invariant.  h = 2^(n_x - n_z) <= 1 is computed after
-    normalization, never passed in.
+    normalization, never passed in.  A NaN or inf s, u_x or u_z is refused
+    with a NonFiniteError naming the field.
     """
 
     k: int
@@ -66,6 +67,10 @@ class PhaseParams:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        for name in ("s", "u_x", "u_z"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise NonFiniteError(f"PhaseParams.{name} is {value}; it must be finite")
         n_x, n_z, u_x, u_z, s = self.n_x, self.n_z, self.u_x, self.u_z, self.s
         if n_x > n_z:
             n_x, n_z = self.n_z, self.n_x

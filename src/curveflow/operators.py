@@ -15,8 +15,14 @@ plan, its reach and its weights at +t and -t (and, in 2D, where a node
 lands on x2).  For modulation fields taking few values the operator is
 evaluated per constant-u group of output points with one FFT convolution
 each, by one routine, _apply_groups; this reorders the same floating-point
-sum, it is not an approximation.  A direct chunked evaluation covers the
-many-valued case and doubles as the oracle in tests.
+sum, it is not an approximation.  One group (constant u) skips the sort and
+keeps its convolution whole.  Each FFT runs over the per-axis box of the
+input's nonzero samples only, computed once per call: samples outside it
+add exact zeros, and the result is placed at the box's start minus the
+kernel's reach.  An input whose first and last sample on every axis carry
+mass has the whole grid as its box and takes the full-grid FFT call
+unchanged.  A direct chunked evaluation covers the many-valued case and
+doubles as the oracle in tests.
 
 Kernel memo: the 1D grouped operators (carleson_apply, truncated_piece_apply
 and both channels of low_split_apply) build their kernels in module-level
@@ -274,13 +280,60 @@ def _check_coverage(
 
 
 def _group_by_value(vals: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+    # one group, no sort (-0.0 and 0.0 are one value, as in np.unique); the
+    # end test turns most mixed u away without a pass over them
+    if vals.size and vals[0] == vals[-1] and (vals == vals[0]).all():
+        return [(float(vals[0]), np.arange(vals.size))]
     uniq, inverse = np.unique(vals, return_inverse=True)
     return [(float(uniq[g]), np.nonzero(inverse == g)[0]) for g in range(uniq.size)]
 
 
-def _convolve(values: np.ndarray, kernel: np.ndarray, reach: Tuple[int, ...]) -> np.ndarray:
-    full = fftconvolve(values, kernel, mode="full")
-    return full[tuple(slice(r, r + n) for r, n in zip(reach, values.shape))]
+def _nonzero_box(values: np.ndarray) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """Per-axis [start, stop) of the nonzero samples; None for the whole grid.
+
+    The box is the whole grid exactly when the first and last slice along
+    every axis hold a nonzero sample, which is checked before any scan.  An
+    all-zero input gives an empty box.
+    """
+    if values.ndim == 1:
+        whole = bool(values[0]) and bool(values[-1])
+    else:
+        whole = all(e.any() for e in (values[0], values[-1], values[:, 0], values[:, -1]))
+    if whole:
+        return None
+    nz = values != 0
+    box = []
+    for ax in range(values.ndim):
+        hit = nz.any(axis=tuple(a for a in range(values.ndim) if a != ax))
+        lo = int(hit.argmax())
+        if not hit[lo]:
+            return ((0, 0),) * values.ndim
+        box.append((lo, hit.size - int(hit[::-1].argmax())))
+    return tuple(box)
+
+
+def _convolve(values: np.ndarray, kernel: np.ndarray, reach: Tuple[int, ...], box) -> np.ndarray:
+    """values convolved with kernel, whose lattice index reach[i] is the origin.
+
+    box is _nonzero_box(values).  Samples outside it add exact zeros, so only
+    the box is transformed and the result lands in a zero array at the box's
+    start minus the reach; None (the whole grid) takes the full-grid call.
+    """
+    if box is None:
+        full = fftconvolve(values, kernel, mode="full")
+        return full[tuple(slice(r, r + n) for r, n in zip(reach, values.shape))]
+    out = np.zeros(values.shape, dtype=np.complex128)
+    if any(lo == hi for lo, hi in box):
+        return out
+    full = fftconvolve(values[tuple(slice(lo, hi) for lo, hi in box)], kernel, mode="full")
+    dst, src = [], []
+    for (lo, _), r, n, m in zip(box, reach, values.shape, full.shape):
+        start = lo - r  # the grid index of full's first entry on this axis
+        a, b = max(start, 0), min(start + m, n)
+        dst.append(slice(a, b))
+        src.append(slice(a - start, b - start))
+    out[tuple(dst)] = full[tuple(src)]
+    return out
 
 
 def _silence(values: np.ndarray, outs: List[np.ndarray], reach) -> None:
@@ -307,13 +360,17 @@ def _apply_groups(values: np.ndarray, groups, build, channels: int = 1) -> List[
     """
     outs = [np.zeros(values.shape, dtype=np.complex128) for _ in range(channels)]
     reach = [0] * values.ndim
+    box = _nonzero_box(values)
     for v, rows in groups:
         built = build(v)
         if built is None:
             continue
         kernels, r = built
-        for out, kernel in zip(outs, kernels):
-            out[rows] = _convolve(values, kernel, r)[rows]
+        for c, kernel in enumerate(kernels):
+            if len(groups) == 1:  # the group holds every row
+                outs[c] = _convolve(values, kernel, r, box)
+            else:
+                outs[c][rows] = _convolve(values, kernel, r, box)[rows]
         reach = [max(a, m + 1) for a, m in zip(reach, r)]
     _silence(values, outs, reach)
     return outs
@@ -393,11 +450,12 @@ def maximal_truncated_hilbert(
     _require_finite(f.values, "maximal_truncated_hilbert input")
     _check_coverage(f, (cfg.radius,), strict)
     shells: List[np.ndarray] = []
+    box = _nonzero_box(f.values)
     a, M = cfg.epsilon, -1  # the last (widest) shell sets the silence reach
     while a < cfg.radius:
         b = min(2.0 * a, cfg.radius)
         (kernel,), (M,) = _carleson_kernel(_LINE, 0.0, PVConfig(a, b, cfg.substep), f.step)
-        shells.append(_convolve(f.values, kernel, (M,)))
+        shells.append(_convolve(f.values, kernel, (M,), box))
         a = b
     cum = np.zeros((len(shells) + 1, f.n), dtype=np.complex128)
     for j, s in enumerate(shells):

@@ -112,6 +112,22 @@ def test_geometry_worked_example(capsys):
     assert d["sigma_values"] == pytest.approx([1 / 7, 4 / 9, 9 / 11], rel=1e-12)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_geometry_refuses_a_non_finite_u_abs(capsys, value):
+    code, _, err = run_cli(capsys, "geometry", "--u-abs", value)
+    assert code == 2
+    assert f"u_abs must be positive and finite, got {value}" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--s", "nan"), ("--s", "0.5,inf"), ("--u-x", "nan"),
+                                        ("--u-z", "inf")])
+def test_kernel_decay_refuses_non_finite_phase_data(capsys, flag, value):
+    code, out, err = run_cli(capsys, "kernel-decay", flag, value)
+    assert code == 2
+    assert f"PhaseParams.{flag[2:].replace('-', '_')} is" in err and "must be finite" in err
+    assert "FAIL" not in out
+
+
 def test_geometry_infeasible_bracket_fails(capsys):
     code, out, _ = run_cli(capsys, "geometry", "--curve", "power", "--alpha", "2",
                            "--u-abs", "0.4", "--l", "0", "--k", "0", "--tau", "0")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curveflow import gridfn
 from curveflow.errors import NonFiniteError
 from curveflow.gridfn import (
     GridFunction1D,
@@ -159,6 +160,18 @@ def test_file_format_pinned(tmp_path, f, fmt, header, sha256):
     g = read_grid_function(str(p))
     assert type(g) is type(f)
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_csv_rows_written_in_blocks_are_the_per_row_text(tmp_path, monkeypatch):
+    # blocks of 2 over 5 rows: two full blocks and a partial one; signed
+    # zeros, subnormals and the extremes print as f"{x:.17g}" does
+    monkeypatch.setattr(gridfn, "_CSV_BLOCK", 2)
+    vals = np.array([complex(-0.0, 5e-324), complex(1.7976931348623157e308, -2.2250738585072014e-308),
+                     0.1 + 0.2j, complex(-1e-310, -0.0), 3.0])
+    p = tmp_path / "f.csv"
+    write_grid_function(str(p), GridFunction1D(0.0, 1.0, vals))
+    assert p.read_text().splitlines()[1:] == [f"{z.real:.17g},{z.imag:.17g}" for z in vals]
+    np.testing.assert_array_equal(read_grid_function(str(p)).values, vals)
 
 
 @pytest.mark.parametrize("text,match", [

@@ -404,6 +404,9 @@ def test_covering_validation():
         covering_geometry(PARAB, -2.0, 0, 0, 0)
     with pytest.raises(ValueError):
         covering_geometry(PARAB, 1.0, 0, -1, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"u_abs must be positive and finite, got {bad}"):
+            covering_geometry(PARAB, bad, 0, 0, 0)
 
 
 def test_covering_random_draw_invariants():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from curveflow.curves import builtin_curve
 from curveflow.dyadic import make_bump
-from curveflow.errors import HypothesisError
+from curveflow.errors import HypothesisError, NonFiniteError
 from curveflow.fixtures import load_fixtures
 from curveflow.kernel import (
     PhaseParams,
@@ -47,6 +47,15 @@ def test_phase_params_no_swap_when_already_normalized():
 def test_phase_params_rejects_negative_k():
     with pytest.raises(ValueError):
         PhaseParams(k=-1, n_x=0, n_z=0, u_x=1.0, u_z=1.0, s=0.0, curve=PARAB)
+
+
+@pytest.mark.parametrize("field", ["s", "u_x", "u_z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_params_refuses_non_finite_fields(field, bad):
+    kw = dict(k=0, n_x=0, n_z=0, u_x=1.0, u_z=1.0, s=0.5, curve=PARAB)
+    kw[field] = bad
+    with pytest.raises(NonFiniteError, match=f"PhaseParams.{field} is"):
+        PhaseParams(**kw)
 
 
 # ---------------------------------------------------------------------- phase
