@@ -20,9 +20,10 @@ keeps its convolution whole.  Each FFT runs over the per-axis box of the
 input's nonzero samples only, computed once per call: samples outside it
 add exact zeros, and the result is placed at the box's start minus the
 kernel's reach.  An input whose first and last sample on every axis carry
-mass has the whole grid as its box and takes the full-grid FFT call
-unchanged.  A direct chunked evaluation covers the many-valued case and
-doubles as the oracle in tests.
+mass has the whole grid as its box, found without a scan, and gets the
+full-grid FFT's result bit for bit, in a fresh grid-sized array.  A direct
+chunked evaluation covers the many-valued case and doubles as the oracle in
+tests.
 
 Kernel memo: the 1D grouped operators (carleson_apply, truncated_piece_apply
 and both channels of low_split_apply) build their kernels in module-level
@@ -288,8 +289,8 @@ def _group_by_value(vals: np.ndarray) -> List[Tuple[float, np.ndarray]]:
     return [(float(uniq[g]), np.nonzero(inverse == g)[0]) for g in range(uniq.size)]
 
 
-def _nonzero_box(values: np.ndarray) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """Per-axis [start, stop) of the nonzero samples; None for the whole grid.
+def _nonzero_box(values: np.ndarray) -> Tuple[Tuple[int, int], ...]:
+    """Per-axis [start, stop) of the nonzero samples.
 
     The box is the whole grid exactly when the first and last slice along
     every axis hold a nonzero sample, which is checked before any scan.  An
@@ -300,7 +301,7 @@ def _nonzero_box(values: np.ndarray) -> Optional[Tuple[Tuple[int, int], ...]]:
     else:
         whole = all(e.any() for e in (values[0], values[-1], values[:, 0], values[:, -1]))
     if whole:
-        return None
+        return tuple((0, n) for n in values.shape)
     nz = values != 0
     box = []
     for ax in range(values.ndim):
@@ -316,12 +317,10 @@ def _convolve(values: np.ndarray, kernel: np.ndarray, reach: Tuple[int, ...], bo
     """values convolved with kernel, whose lattice index reach[i] is the origin.
 
     box is _nonzero_box(values).  Samples outside it add exact zeros, so only
-    the box is transformed and the result lands in a zero array at the box's
-    start minus the reach; None (the whole grid) takes the full-grid call.
+    the box is transformed and the result lands in a fresh zero array at the
+    box's start minus the reach.  A whole-grid box crops nothing, so the
+    transform is the full-grid one, bit for bit.
     """
-    if box is None:
-        full = fftconvolve(values, kernel, mode="full")
-        return full[tuple(slice(r, r + n) for r, n in zip(reach, values.shape))]
     out = np.zeros(values.shape, dtype=np.complex128)
     if any(lo == hi for lo, hi in box):
         return out
